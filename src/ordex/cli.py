@@ -139,13 +139,20 @@ def _cmd_chromatic(args, cfg):
 
 def _cmd_construct(args, cfg):
     head, _, rest = args.family.partition(":")
+    try:
+        if head == "pow":
+            base, flavor = rest.split(":")
+            base_value = int(base)
+        elif head == "ckfree":
+            k = int(rest)
+    except ValueError as exc:
+        raise DomainError("usage", f"bad construction family {args.family!r}: {exc}")
     if head == "pow":
-        base, flavor = rest.split(":")
-        g = power_distance_graph(args.n, int(base), flavor)
+        g = power_distance_graph(args.n, base_value, flavor)
         family = f"pow:{base}:{flavor}"
     elif head == "ckfree":
         seed = args.seed if args.seed is not None else 0
-        g = random_ck_free(args.n, int(rest), seed)
+        g = random_ck_free(args.n, k, seed)
         family = f"ckfree:{rest}"
     else:
         raise DomainError("usage", f"unknown construction family {args.family!r}")
@@ -201,8 +208,11 @@ def _cmd_count(args, cfg):
 
 
 def _cmd_count_perms(args, cfg):
-    count = count_avoiding_permutations(args.n, _parse_perm_word(args.perm),
-                                        caps=cfg.solver_caps())
+    try:
+        pi = _parse_perm_word(args.perm)
+    except ValueError:
+        raise DomainError("usage", f"bad permutation word {args.perm!r}")
+    count = count_avoiding_permutations(args.n, pi, caps=cfg.solver_caps())
     return {"n": args.n, "pattern": args.perm, "count": count}
 
 

@@ -61,15 +61,19 @@ class PatternIndex:
 
     Vertices get flat ids 0..n-1 (first part, then second part).  The
     placement order merges the two index-ordered part sequences along a
-    minimax path that keeps the boundary as small as possible, and the
-    per-step boundary membership is precomputed.
+    minimax path that keeps the boundary as small as possible.  Each
+    step of that order is compiled once into a plan tuple holding
+    everything the searcher needs about it: the part, where the window
+    anchor and the placed neighbors sit in the previous boundary tuple,
+    how to project the previous boundary onto the next one, the degree
+    the image needs, the Pareto-reducible coordinates and the offset of
+    the upper window bound from the end of the host part.
     """
 
-    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "pattern",
-                 "order", "boundary", "prev_same", "pending", "pure")
+    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "edge_ids",
+                 "order", "plan", "_seed_plans")
 
     def __init__(self, pattern: PatternGraph):
-        self.pattern = pattern
         pu = pattern.n_u
         pv = pattern.n_v
         self.n = pu + pv
@@ -82,11 +86,13 @@ class PatternIndex:
             self.idx[pu + j] = j + 1
         self.part_count = (pu, pv)
         self.nbrs = [[] for _ in range(self.n)]
+        self.edge_ids = []
         for a, b in pattern.edges:
             if pattern.flavor == BIPARTITE:
                 x, y = a - 1, pu + b - 1
             else:
                 x, y = a - 1, b - 1
+            self.edge_ids.append((x, y))
             self.nbrs[x].append(y)
             self.nbrs[y].append(x)
         self.deg = [len(x) for x in self.nbrs]
@@ -169,19 +175,20 @@ class PatternIndex:
                 j += 1
                 order.append(pu + j - 1)
         self.order = order
+        self.plan = []
         placed = set()
-        self.boundary = []
-        self.prev_same = []
-        self.pending = []
-        self.pure = []
+        old_boundary = ()
         lasts = [None, None]
         ii = jj = 0
         for p in order:
-            self.prev_same.append(lasts[self.part[p]])
-            self.pending.append([q for q in self.nbrs[p] if q in placed])
+            pt = self.part[p]
+            old_pos = {q: k for k, q in enumerate(old_boundary)}
+            prev_same = lasts[pt]
+            pending = tuple((self.part[q], old_pos[q])
+                            for q in self.nbrs[p] if q in placed)
             placed.add(p)
-            lasts[self.part[p]] = p
-            if self.part[p] == 0:
+            lasts[pt] = p
+            if pt == 0:
                 ii += 1
             else:
                 jj += 1
@@ -190,11 +197,53 @@ class PatternIndex:
                 if last is not None:
                     keep.add(last)
             boundary = tuple(sorted(q for q in keep if q in placed))
-            self.boundary.append(boundary)
+            # Positions of retained coordinates in the old/new boundary
+            # tuples.  The placed vertex is always the current last of its
+            # part, so it appears in the new boundary exactly once.
+            kept = tuple(old_pos[q] for q in boundary if q != p)
+            self_pos = boundary.index(p)
             # Coordinates kept only as window anchors: all their pattern
             # neighbors are placed, so smaller images dominate.
-            self.pure.append([k for k, q in enumerate(boundary)
-                              if all(r in placed for r in self.nbrs[q])])
+            pure = [k for k, q in enumerate(boundary)
+                    if all(r in placed for r in self.nbrs[q])]
+            self.plan.append((
+                pt,
+                old_pos[prev_same] if prev_same is not None else None,
+                _tuple_getter(kept[:self_pos]),
+                _tuple_getter(kept[self_pos:]),
+                pending,
+                pending[0] if len(pending) == 1 else None,
+                self.deg[p],
+                pure,
+                self.part_count[pt] - self.idx[p],
+            ))
+            old_boundary = boundary
+        self._seed_plans = {}
+
+    def seed_plan(self, forced: tuple) -> list:
+        """The step plans extended for the forced vertex ids ``forced`` (cached).
+
+        Step t's plan gains ``(slot, caps, later)``: the slot in ``forced``
+        of the vertex placed at t (-1 if it is free); ``(slot, gap)`` for
+        each forced vertex of the same part ``gap`` indices further on,
+        whose image minus ``gap`` caps this one; and ``(part, slot)`` for
+        each forced pattern neighbor placed after t, whose image's host
+        neighborhood must contain this one's.
+        """
+        plan = self._seed_plans.get(forced)
+        if plan is None:
+            slot = {q: s for s, q in enumerate(forced)}
+            step = {p: t for t, p in enumerate(self.order)}
+            plan = []
+            for t, p in enumerate(self.order):
+                caps = tuple((slot[q], self.idx[q] - self.idx[p]) for q in forced
+                             if self.part[q] == self.part[p]
+                             and self.idx[q] > self.idx[p])
+                later = tuple((self.part[q], slot[q]) for q in forced
+                              if q in self.nbrs[p] and step[q] > t)
+                plan.append(self.plan[t] + (slot.get(p, -1), caps, later))
+            self._seed_plans[forced] = plan
+        return plan
 
 
 @lru_cache(maxsize=512)
@@ -264,17 +313,21 @@ def find_embedding(P: PatternIndex, H: HostIndex, seeds=()) -> list[int] | None:
     """Run the layered search; returns flat images (vertex id -> host) or None.
 
     ``seeds`` force specific images, used by the exact solver to look
-    only for embeddings through a just-added host edge.  Deterministic:
-    layers are expanded in insertion order and candidates ascend, so the
-    first witness found is always the same.
+    only for embeddings through a just-added host edge.  The forced
+    images also bound the layers placed before them: a vertex of the
+    same part ``gap`` indices before a forced one must sit at least
+    ``gap`` below its image, and a pattern neighbor of a forced vertex
+    must be a host neighbor of its image.  Both rules drop only states
+    with no completion, so whether an embedding exists is unchanged.
+    Deterministic: layers are expanded in insertion order and candidates
+    ascend, so the first witness found is always the same.
     """
-    part = P.part
-    idx = P.idx
     part_count = P.part_count
     sizes = H.sizes
     if part_count[0] > sizes[0] or (part_count[1] and part_count[1] > sizes[1]):
         return None
     forced = dict(seeds)
+    images = tuple(forced.values())
     hdeg = H.deg
     adj = H.adj
     adj_sets = H.adj_sets
@@ -282,42 +335,40 @@ def find_embedding(P: PatternIndex, H: HostIndex, seeds=()) -> list[int] | None:
     # states: boundary image tuple -> (parent key, host vertex placed)
     states = {(): (None, None)}
     trail = []
-    for t, p in enumerate(P.order):
-        pt = part[p]
-        pi = idx[p]
-        prev_same = P.prev_same[t]
-        pending = P.pending[t]
-        old_boundary = P.boundary[t - 1] if t else ()
-        new_boundary = P.boundary[t]
-        # Positions of retained coordinates in the old/new boundary tuples.
-        # The placed vertex is always the current last of its part, so it
-        # appears in the new boundary exactly once.
-        old_pos = {q: k for k, q in enumerate(old_boundary)}
-        keep = tuple(old_pos[q] for q in new_boundary if q != p)
-        self_pos = new_boundary.index(p)
-        get_head = _tuple_getter(keep[:self_pos])
-        get_tail = _tuple_getter(keep[self_pos:])
-        prev_pos = old_pos[prev_same] if prev_same is not None else None
-        pending_pos = [(part[q], old_pos[q]) for q in pending]
-        single_pending = pending_pos[0] if len(pending_pos) == 1 else None
-        hi_cap = sizes[pt] - (part_count[pt] - pi)
-        need_deg = P.deg[p]
+    for (pt, prev_pos, get_head, get_tail, pending_pos, single_pending,
+         need_deg, pure, hi_off, slot, caps, later) in P.seed_plan(tuple(forced)):
+        hi_cap = sizes[pt] - hi_off
+        for s, gap in caps:
+            if images[s] - gap < hi_cap:
+                hi_cap = images[s] - gap
         degs = hdeg[pt]
-        force = forced.get(p)
-        pure = P.pure[t]
+        # Candidates allowed by the seeds alone, the same for every state.
+        pool = None
+        if slot >= 0:
+            h = images[slot]
+            pool = [h] if h <= hi_cap and degs[h] >= need_deg else []
+        elif later:
+            qt, s = later[0]
+            base = adj[qt][images[s]]
+            pool = [h for h in base[:bisect_right(base, hi_cap)]
+                    if degs[h] >= need_deg]
+            later = later[1:]
+        if pool is not None:
+            for qt, s in later:
+                around = adj_sets[qt][images[s]]
+                pool = [h for h in pool if h in around]
+            if not pool:
+                return None
         new_states = {}
-        for key, _ in states.items():
+        for key in states:
             lo = key[prev_pos] + 1 if prev_pos is not None else 1
             if lo > hi_cap:
                 continue
-            if force is not None:
-                if force < lo or force > hi_cap or degs[force] < need_deg:
-                    continue
-                candidates = [force]
+            if pool is not None:
+                candidates = pool[bisect_left(pool, lo):]
                 for qt, qp in pending_pos:
-                    if force not in adj_sets[qt][key[qp]]:
-                        candidates = []
-                        break
+                    s = adj_sets[qt][key[qp]]
+                    candidates = [h for h in candidates if h in s]
             elif single_pending is not None:
                 qt, qp = single_pending
                 base = adj[qt][key[qp]]
@@ -474,14 +525,8 @@ def embedding_uses_edge(host: PatternGraph, pattern: PatternGraph,
 def uses_edge(P: PatternIndex, H: HostIndex, edge: tuple[int, int]) -> bool:
     """Forced-edge search against a prebuilt host index (solver hot path)."""
     a, b = edge
-    pattern = P.pattern
-    pu = pattern.n_u
-    for pa, pb in pattern.edges:
-        if pattern.flavor == BIPARTITE:
-            seeds = ((pa - 1, a), (pu + pb - 1, b))
-        else:
-            seeds = ((pa - 1, a), (pb - 1, b))
-        if find_embedding(P, H, seeds) is not None:
+    for x, y in P.edge_ids:
+        if find_embedding(P, H, ((x, a), (y, b))) is not None:
             return True
     return False
 

@@ -94,22 +94,36 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
             raise SizeCapError(f"size cap exceeded: {n} over {flavor} cap {cap}")
         m = 0
 
-    if flavor == CYCLIC:
-        value, edges = _search_cyclic(n, pattern)
-    else:
-        value, edges = _search_incremental(flavor, n, m, pattern)
+    value, edges = _search(flavor, n, m, pattern)
     witness = PatternGraph(flavor, n, m, tuple(edges))
     if witness.n_edges != value or contains(witness, pattern) is not None:
         raise AssertionError("solver produced an invalid witness")
     return ExtremalRecord(flavor, pattern, n, m, value, witness)
 
 
-def _search_incremental(flavor, n, m, pattern):
-    """Include-first DFS with incremental containment checks."""
+def _search(flavor, n, m, pattern):
+    """Include-first DFS with incremental containment checks.
+
+    Bipartite and ordered hosts keep one host index.  A cyclic host is
+    kept as n ordered host indexes, one per rotation of its labeling,
+    all edited together, and the pattern is read linearly from vertex 1:
+    the host contains the cyclic pattern exactly when some rotation
+    contains the linear one.  Every inclusion is checked for embeddings
+    through the new edge under each rotation, which is sound because the
+    parent host avoids the pattern under every rotation.
+    """
     candidates = _candidate_edges(flavor, n, m)
     total = len(candidates)
-    P = pattern_index(pattern)
-    H = HostIndex(flavor, n, m)
+    if flavor == CYCLIC:
+        P = pattern_index(PatternGraph(ORDERED, pattern.n_u, 0, pattern.edges))
+        hosts = [HostIndex(ORDERED, n, 0) for _ in range(n)]
+        # Edge (a, b) read under rotation r, where vertex r+1 becomes 1.
+        views = [[(H, tuple(sorted(((a - 1 - r) % n + 1, (b - 1 - r) % n + 1))))
+                  for r, H in enumerate(hosts)] for a, b in candidates]
+    else:
+        P = pattern_index(pattern)
+        H = HostIndex(flavor, n, m)
+        views = [[(H, e)] for e in candidates]
     chosen = []
     best = {"value": -1, "edges": ()}
 
@@ -120,44 +134,15 @@ def _search_incremental(flavor, n, m, pattern):
             best["value"] = len(chosen)
             best["edges"] = tuple(chosen)
             return
-        e = candidates[i]
-        H.add_edge(e)
-        if not uses_edge(P, H, e):
-            chosen.append(e)
+        edits = views[i]
+        for H, e in edits:
+            H.add_edge(e)
+        if not any(uses_edge(P, H, e) for H, e in edits):
+            chosen.append(candidates[i])
             walk(i + 1)
             chosen.pop()
-        H.remove_edge(e)
-        walk(i + 1)
-
-    walk(0)
-    return best["value"], best["edges"]
-
-
-def _search_cyclic(n, pattern):
-    """Cyclic hosts: plain DFS rechecking containment on each inclusion.
-
-    The incremental trick needs a fixed host labeling, and cyclic
-    containment rotates it, so each inclusion runs the full check.
-    Hosts at the cyclic cap stay small enough for this.
-    """
-    candidates = _candidate_edges(CYCLIC, n, 0)
-    total = len(candidates)
-    chosen = []
-    best = {"value": -1, "edges": ()}
-
-    def walk(i):
-        if len(chosen) + (total - i) <= best["value"]:
-            return
-        if i == total:
-            best["value"] = len(chosen)
-            best["edges"] = tuple(chosen)
-            return
-        e = candidates[i]
-        chosen.append(e)
-        host = PatternGraph(CYCLIC, n, 0, tuple(chosen))
-        if contains(host, pattern) is None:
-            walk(i + 1)
-        chosen.pop()
+        for H, e in edits:
+            H.remove_edge(e)
         walk(i + 1)
 
     walk(0)
@@ -213,15 +198,14 @@ def count_avoiding_permutations(n: int, pi,
         # Too short to ever contain the pattern.
         return math.factorial(n)
     prefix = []
+    pattern_ranks = sorted(range(k), key=lambda t: pi[t])
 
     def last_completes_occurrence():
         i = len(prefix) - 1
-        last = prefix[i]
         for combo in itertools.combinations(range(i), k - 1):
             positions = list(combo) + [i]
             values = [prefix[p] for p in positions]
             ranks = sorted(range(k), key=lambda t: values[t])
-            pattern_ranks = sorted(range(k), key=lambda t: pi[t])
             if ranks == pattern_ranks:
                 return True
         return False
@@ -259,10 +243,14 @@ def growth_table(pattern: PatternGraph, flavor: str, n_range,
     """Exact values over a range of sizes with linear and n log n ratios.
 
     Logarithms are binary.  The n log n ratio is None at n = 1.  A cache
-    (see ordex.cache) is consulted and filled when provided.
+    (see ordex.cache) is consulted and filled when provided.  Sizes below
+    1 are refused before anything is solved.
     """
+    sizes = list(n_range)
+    if any(n < 1 for n in sizes):
+        raise GraphValueError("growth tables need sizes of at least 1")
     rows = []
-    for n in n_range:
+    for n in sizes:
         m = n if flavor == BIPARTITE else None
         if cache is not None:
             rec = cache.fetch(flavor, pattern, n, m, caps=caps)

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from ordex.cli import dispatch
 from ordex.formats import parse_graph, serialize_graph
 from ordex.catalog import sailboat, keszegh_h
@@ -112,6 +114,24 @@ def test_count_and_count_perms(tmp_path):
     assert code == 0 and payload["count"] == 429
     code, payload = run_json(["count-perms", "--perm", "132", "--n", "99"])
     assert code == 1 and payload["kind"] == "cap"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-perms", "--perm", "1x2", "--n", "4"],
+    ["construct", "--family", "pow:2", "--n", "8"],
+    ["construct", "--family", "ckfree:x", "--n", "8"],
+])
+def test_malformed_argument_is_usage_diagnostic(argv):
+    code, payload = run_json(argv)
+    assert code == 1 and payload["kind"] == "usage"
+
+
+def test_table_rejects_sizes_below_one(tmp_path):
+    f = tmp_path / "p.g"
+    f.write_text("bipartite 2 2\n1 1\n2 2\n")
+    code, payload = run_json(["table", "--pattern", str(f), "--n-min", "0",
+                              "--n-max", "2"])
+    assert code == 1 and payload["kind"] == "domain"
 
 
 def test_table_csv(tmp_path):

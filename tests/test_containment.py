@@ -139,3 +139,70 @@ def test_uses_edge_matches_delta():
             continue
         assert embedding_uses_edge(after, pattern, extra) == \
             (contains(after, pattern) is not None)
+
+
+FORCED_PATTERNS = {
+    "hook": HOOK_PATTERN,
+    "C4#0": ordered_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "C4#1": ordered_graph(4, [(1, 2), (2, 4), (3, 4), (1, 3)]),
+    "C4#2": ordered_graph(4, [(1, 3), (2, 3), (2, 4), (1, 4)]),
+    "11/01": bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 2)]),
+    "H:1": keszegh_h(1),
+    "sailboat": sailboat(),
+}
+
+
+def _random_avoider(rng, pattern, n, m):
+    """A seeded host that avoids the pattern (by the oracle), and its cells."""
+    bipartite = pattern.flavor == "bipartite"
+    if bipartite:
+        cells = [(u, v) for u in range(1, n + 1) for v in range(1, m + 1)]
+    else:
+        cells = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    rng.shuffle(cells)
+    target = rng.randint(0, len(cells))
+    kept = []
+    for cell in cells:
+        if len(kept) == target:
+            break
+        host = (bipartite_graph(n, m, kept + [cell]) if bipartite
+                else ordered_graph(n, kept + [cell]))
+        if brute_force_embedding(host, pattern) is None:
+            kept.append(cell)
+    return kept, cells
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_PATTERNS))
+def test_uses_edge_matches_oracle_on_added_edge(name):
+    """The seeded search through one added edge agrees with brute force.
+
+    Hosts avoid the pattern before the edge is added, as in the solver.
+    Besides random edges, each host also gets edges too short (ordered)
+    or too close to a corner (bipartite) for some pattern edge, where
+    the seeds contradict the index gaps and a layer empties early.
+    """
+    pattern = FORCED_PATTERNS[name]
+    rng = random.Random(sum(map(ord, name)))
+    bipartite = pattern.flavor == "bipartite"
+    checked = 0
+    for _ in range(25):
+        if bipartite:
+            n = rng.randint(max(1, pattern.n_u - 1), pattern.n_u + 2)
+            m = rng.randint(max(1, pattern.n_v - 1), pattern.n_v + 2)
+        else:
+            n, m = rng.randint(pattern.n_u - 1, pattern.n_u + 4), 0
+        base, cells = _random_avoider(rng, pattern, n, m)
+        if bipartite:
+            extras = [rng.choice(cells), (n, 1), (1, m), (n, m)]
+        else:
+            a = rng.randint(1, max(1, n - 1))
+            extras = [rng.choice(cells), (a, a + 1), (1, n)]
+        for extra in extras:
+            if extra in base or extra not in cells:
+                continue
+            after = (bipartite_graph(n, m, base + [extra]) if bipartite
+                     else ordered_graph(n, base + [extra]))
+            assert embedding_uses_edge(after, pattern, extra) == \
+                (brute_force_embedding(after, pattern) is not None)
+            checked += 1
+    assert checked >= 25

@@ -1,5 +1,6 @@
 """Exact solver against brute force, plus the counting routines."""
 
+import itertools
 import random
 
 import pytest
@@ -163,9 +164,33 @@ def test_growth_table_shapes():
     assert rows[0].per_n_log_n is None
 
 
+def test_growth_table_rejects_sizes_below_one():
+    with pytest.raises(GraphValueError):
+        growth_table(permutation_matching([1, 2]), "bipartite", range(0, 3))
+
+
 def test_growth_table_superadditive():
     rows = growth_table(permutation_matching([2, 1]), "bipartite", range(1, 5))
     v = {r.n: r.value for r in rows}
     assert v[2] >= 2 * v[1]
     assert v[4] >= v[1] + v[3]
     assert v[4] >= 2 * v[2]
+
+
+CYCLIC_PATTERNS = {
+    "crossing": cyclic_graph(4, [(1, 3), (2, 4)]),
+    "C4": cyclic_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", sorted(CYCLIC_PATTERNS))
+def test_cyclic_value_and_least_witness_match_brute_force(name, n):
+    pattern = CYCLIC_PATTERNS[name]
+    rec = max_edges_avoiding("cyclic", n, pattern)
+    value = brute_force_max_edges("cyclic", n, 0, pattern, _oracle_contains)
+    cells = list(itertools.combinations(range(1, n + 1), 2))
+    least = next(combo for combo in itertools.combinations(cells, value)
+                 if _oracle_contains(cyclic_graph(n, combo), pattern) is None)
+    assert rec.value == value
+    assert rec.witness.edges == least
