@@ -4,9 +4,11 @@ One file per record, keyed by flavor, exact pattern serialization and
 host dimensions, with a schema version baked into both the digest and
 the payload; bumping the version orphans old files rather than
 corrupting them.  A repeated query returns the stored payload bytes
-unchanged.  Bipartite lookups additionally probe the symmetry variants
-of the pattern: a record solved for a variant transfers, with the
-witness mapped back through the inverse symmetry and revalidated.
+unchanged.  A file that does not parse, or whose payload names another
+schema version, flavor, pattern or size, is a miss and is overwritten
+by the fresh solve.  Bipartite lookups additionally probe the symmetry
+variants of the pattern: a record solved for a variant transfers, with
+the witness mapped back through the inverse symmetry and revalidated.
 """
 
 from __future__ import annotations
@@ -67,8 +69,14 @@ class RecordCache:
         if not path.exists():
             return None
         raw = path.read_bytes()
-        payload = json.loads(raw)
-        if payload.get("schema_version") != SCHEMA_VERSION:
+        try:
+            payload = json.loads(raw)
+        except ValueError:
+            return None
+        key = {"schema_version": SCHEMA_VERSION, "flavor": flavor,
+               "pattern": serialize_graph(pattern), "n": n, "m": m}
+        if (not isinstance(payload, dict)
+                or any(payload.get(k) != v for k, v in key.items())):
             return None
         return raw
 

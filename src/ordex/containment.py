@@ -12,7 +12,10 @@ window role is a monotone coordinate (smaller images allow strictly
 more completions), so each layer is reduced to its Pareto-minimal
 states.  This keeps avoidance proofs on large structured hosts cheap,
 where plain backtracking revisits equivalent partial maps
-exponentially often.
+exponentially often.  The host is one int bitmask of neighbors per
+vertex, so a state's candidates are its window ANDed with the host
+neighborhoods of its placed pattern neighbors, and the exact solver's
+edge edits are a few bit operations.
 
 Cyclic containment reduces to the linear search: an injection preserves
 the cyclic order exactly when some rotation of the host labeling makes
@@ -22,7 +25,6 @@ the pattern read linearly from vertex 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -212,7 +214,6 @@ class PatternIndex:
                 _tuple_getter(kept[:self_pos]),
                 _tuple_getter(kept[self_pos:]),
                 pending,
-                pending[0] if len(pending) == 1 else None,
                 self.deg[p],
                 pure,
                 self.part_count[pt] - self.idx[p],
@@ -252,21 +253,30 @@ def pattern_index(pattern: PatternGraph) -> PatternIndex:
 
 
 class HostIndex:
-    """Mutable host adjacency; the exact solver edits it edge by edge."""
+    """Mutable host adjacency as one int bitmask per vertex.
 
-    __slots__ = ("flavor", "sizes", "adj", "adj_sets", "deg")
+    Bit h of ``adj[part][x]`` is set when host vertex h is a neighbor of
+    vertex x of that part; the neighbors live on the opposite part for
+    bipartite hosts.  ``deg[part][x]`` counts those bits.  Single-part
+    hosts alias both entries of ``sizes``, ``adj`` and ``deg`` to one
+    vertex set, so edge edits need no flavor branch.  The exact solver
+    edits it edge by edge; ``add_edge`` takes only absent edges and
+    ``remove_edge`` only present ones, or the degree counts drift.
+    """
+
+    __slots__ = ("sizes", "adj", "deg")
 
     def __init__(self, flavor: str, n_u: int, n_v: int, edges=()):
-        self.flavor = flavor
-        two_part = flavor == BIPARTITE
-        self.sizes = (n_u, n_v if two_part else 0)
-        # adj[part][vertex] lists the neighbors, which live on the opposite
-        # part for bipartite hosts and on the same part for ordered ones.
-        self.adj = ([[] for _ in range(n_u + 1)],
-                    [[] for _ in range(n_v + 1)] if two_part else [])
-        self.adj_sets = ([set() for _ in range(n_u + 1)],
-                         [set() for _ in range(n_v + 1)] if two_part else [])
-        self.deg = ([0] * (n_u + 1), [0] * (n_v + 1) if two_part else [])
+        if flavor == BIPARTITE:
+            self.sizes = (n_u, n_v)
+            self.adj = ([0] * (n_u + 1), [0] * (n_v + 1))
+            self.deg = ([0] * (n_u + 1), [0] * (n_v + 1))
+        else:
+            adj = [0] * (n_u + 1)
+            deg = [0] * (n_u + 1)
+            self.sizes = (n_u, n_u)
+            self.adj = (adj, adj)
+            self.deg = (deg, deg)
         for e in edges:
             self.add_edge(e)
 
@@ -276,133 +286,86 @@ class HostIndex:
 
     def add_edge(self, e):
         a, b = e
-        if self.flavor == BIPARTITE:
-            insort(self.adj[0][a], b)
-            insort(self.adj[1][b], a)
-            self.adj_sets[0][a].add(b)
-            self.adj_sets[1][b].add(a)
-            self.deg[0][a] += 1
-            self.deg[1][b] += 1
-        else:
-            insort(self.adj[0][a], b)
-            insort(self.adj[0][b], a)
-            self.adj_sets[0][a].add(b)
-            self.adj_sets[0][b].add(a)
-            self.deg[0][a] += 1
-            self.deg[0][b] += 1
+        self.adj[0][a] |= 1 << b
+        self.adj[1][b] |= 1 << a
+        self.deg[0][a] += 1
+        self.deg[1][b] += 1
 
     def remove_edge(self, e):
         a, b = e
-        if self.flavor == BIPARTITE:
-            self.adj[0][a].remove(b)
-            self.adj[1][b].remove(a)
-            self.adj_sets[0][a].discard(b)
-            self.adj_sets[1][b].discard(a)
-            self.deg[0][a] -= 1
-            self.deg[1][b] -= 1
-        else:
-            self.adj[0][a].remove(b)
-            self.adj[0][b].remove(a)
-            self.adj_sets[0][a].discard(b)
-            self.adj_sets[0][b].discard(a)
-            self.deg[0][a] -= 1
-            self.deg[0][b] -= 1
+        self.adj[0][a] &= ~(1 << b)
+        self.adj[1][b] &= ~(1 << a)
+        self.deg[0][a] -= 1
+        self.deg[1][b] -= 1
 
 
 def find_embedding(P: PatternIndex, H: HostIndex, seeds=()) -> list[int] | None:
     """Run the layered search; returns flat images (vertex id -> host) or None.
 
+    A state's candidates for the next vertex are one bitmask: the step's
+    pool (host vertices 1..the upper window bound) with the bits below
+    the window anchor cleared, ANDed with the host neighborhood of each
+    placed pattern neighbor.  Its set bits are walked in ascending
+    order and kept if their degree is high enough.
+
     ``seeds`` force specific images, used by the exact solver to look
     only for embeddings through a just-added host edge.  The forced
-    images also bound the layers placed before them: a vertex of the
-    same part ``gap`` indices before a forced one must sit at least
-    ``gap`` below its image, and a pattern neighbor of a forced vertex
-    must be a host neighbor of its image.  Both rules drop only states
-    with no completion, so whether an embedding exists is unchanged.
-    Deterministic: layers are expanded in insertion order and candidates
-    ascend, so the first witness found is always the same.
+    images narrow the pool: a forced vertex's pool is its image alone,
+    a vertex of the same part ``gap`` indices before a forced one must
+    sit at least ``gap`` below its image, and a pattern neighbor of a
+    forced vertex must be a host neighbor of its image.  These rules
+    drop only states with no completion, so whether an embedding exists
+    is unchanged.  Deterministic: layers are expanded in insertion
+    order and candidates ascend, so the first witness found is always
+    the same.
     """
     part_count = P.part_count
     sizes = H.sizes
-    if part_count[0] > sizes[0] or (part_count[1] and part_count[1] > sizes[1]):
+    if part_count[0] > sizes[0] or part_count[1] > sizes[1]:
         return None
     forced = dict(seeds)
     images = tuple(forced.values())
-    hdeg = H.deg
     adj = H.adj
-    adj_sets = H.adj_sets
 
     # states: boundary image tuple -> (parent key, host vertex placed)
     states = {(): (None, None)}
     trail = []
-    for (pt, prev_pos, get_head, get_tail, pending_pos, single_pending,
-         need_deg, pure, hi_off, slot, caps, later) in P.seed_plan(tuple(forced)):
+    for (pt, prev_pos, get_head, get_tail, pending_pos, need_deg, pure,
+         hi_off, slot, caps, later) in P.seed_plan(tuple(forced)):
         hi_cap = sizes[pt] - hi_off
         for s, gap in caps:
             if images[s] - gap < hi_cap:
                 hi_cap = images[s] - gap
-        degs = hdeg[pt]
-        # Candidates allowed by the seeds alone, the same for every state.
-        pool = None
+        if hi_cap < 1:
+            return None
+        # Candidates allowed by the window and the seeds, the same for
+        # every state.
+        pool = (2 << hi_cap) - 2
         if slot >= 0:
-            h = images[slot]
-            pool = [h] if h <= hi_cap and degs[h] >= need_deg else []
-        elif later:
-            qt, s = later[0]
-            base = adj[qt][images[s]]
-            pool = [h for h in base[:bisect_right(base, hi_cap)]
-                    if degs[h] >= need_deg]
-            later = later[1:]
-        if pool is not None:
-            for qt, s in later:
-                around = adj_sets[qt][images[s]]
-                pool = [h for h in pool if h in around]
-            if not pool:
-                return None
+            pool &= 1 << images[slot]
+        for qt, s in later:
+            pool &= adj[qt][images[s]]
+        if not pool:
+            return None
+        degs = H.deg[pt]
         new_states = {}
         for key in states:
             lo = key[prev_pos] + 1 if prev_pos is not None else 1
-            if lo > hi_cap:
+            cand = pool >> lo << lo
+            for qt, qp in pending_pos:
+                cand &= adj[qt][key[qp]]
+            if not cand:
                 continue
-            if pool is not None:
-                candidates = pool[bisect_left(pool, lo):]
-                for qt, qp in pending_pos:
-                    s = adj_sets[qt][key[qp]]
-                    candidates = [h for h in candidates if h in s]
-            elif single_pending is not None:
-                qt, qp = single_pending
-                base = adj[qt][key[qp]]
-                start = bisect_left(base, lo)
-                stop = bisect_right(base, hi_cap)
-                candidates = [h for h in base[start:stop]
-                              if degs[h] >= need_deg]
-            elif pending_pos:
-                qt, qp = min(pending_pos, key=lambda s: len(adj[s[0]][key[s[1]]]))
-                base = adj[qt][key[qp]]
-                start = bisect_left(base, lo)
-                stop = bisect_right(base, hi_cap)
-                others = [adj_sets[s][key[o]] for s, o in pending_pos
-                          if (s, o) != (qt, qp)]
-                candidates = []
-                for h in base[start:stop]:
-                    if degs[h] < need_deg:
-                        continue
-                    ok = True
-                    for s in others:
-                        if h not in s:
-                            ok = False
-                            break
-                    if ok:
-                        candidates.append(h)
-            else:
-                candidates = [h for h in range(lo, hi_cap + 1)
-                              if degs[h] >= need_deg]
             head = get_head(key)
             tail = get_tail(key)
-            for h in candidates:
-                new_key = head + (h,) + tail
-                if new_key not in new_states:
-                    new_states[new_key] = (key, h)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                h = low.bit_length() - 1
+                if degs[h] >= need_deg:
+                    new_key = head + (h,) + tail
+                    if new_key not in new_states:
+                        new_states[new_key] = (key, h)
         if not new_states:
             return None
         if pure and len(new_states) > 64:

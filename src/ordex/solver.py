@@ -155,12 +155,15 @@ def count_avoiders(n: int, pattern: PatternGraph,
 
     Exhaustive over all 2^(n^2) hosts, but a subtree is skipped as soon
     as a partial host contains the pattern, since containment is
-    monotone under adding edges.
+    monotone under adding edges.  n = 0 counts the empty host; negative
+    n is refused.
     """
     if pattern.flavor != BIPARTITE:
         raise GraphValueError("avoider counting is over bipartite hosts")
     if not pattern.edges:
         raise GraphValueError("pattern graphs need at least one edge")
+    if n < 0:
+        raise GraphValueError("host size n must be non-negative")
     if n > caps.avoiders:
         raise SizeCapError(f"size cap exceeded: {n} over avoider cap {caps.avoiders}")
     cells = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
@@ -187,10 +190,15 @@ def count_avoiding_permutations(n: int, pi,
 
     Backtracking over prefixes; a prefix is abandoned as soon as its
     last entry completes an occurrence of the pattern, so only avoiding
-    prefixes are ever extended.
+    prefixes are ever extended.  The pattern must be non-empty and n
+    non-negative.
     """
     pi = as_permutation(pi)
     k = len(pi)
+    if k == 0:
+        raise GraphValueError("permutation patterns need at least one entry")
+    if n < 0:
+        raise GraphValueError("permutation length n must be non-negative")
     if n > caps.permutations:
         raise SizeCapError(
             f"size cap exceeded: {n} over permutation cap {caps.permutations}")

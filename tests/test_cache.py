@@ -48,3 +48,32 @@ def test_schema_version_mismatch_recomputes(tmp_path):
     assert cache.load_bytes("bipartite", pat, 2, 2) is None
     rec = cache.fetch("bipartite", pat, 2, 2)
     assert rec.value == 3
+
+
+def test_truncated_file_is_a_miss_and_overwritten(tmp_path):
+    cache = RecordCache(tmp_path)
+    pat = permutation_matching([1, 2])
+    rec = cache.fetch("bipartite", pat, 3, 3)
+    path = cache._path("bipartite", pat, 3, 3)
+    good = path.read_bytes()
+    path.write_bytes(good[:len(good) // 2])
+    assert cache.load_bytes("bipartite", pat, 3, 3) is None
+    assert cache.fetch("bipartite", pat, 3, 3) == rec
+    assert path.read_bytes() == good
+
+
+def test_foreign_record_is_a_miss_and_overwritten(tmp_path):
+    import json
+
+    cache = RecordCache(tmp_path)
+    pat = permutation_matching([1, 2])
+    other = permutation_matching([2, 1])
+    cache.fetch("bipartite", other, 3, 3)
+    foreign = json.loads(cache._path("bipartite", other, 3, 3).read_bytes())
+    foreign["value"] = 99
+    path = cache._path("bipartite", pat, 3, 3)
+    path.write_text(json.dumps(foreign))
+    assert cache.load_bytes("bipartite", pat, 3, 3) is None
+    rec = cache.fetch("bipartite", pat, 3, 3)
+    assert rec.pattern == pat and rec.value == 5
+    assert json.loads(path.read_bytes())["value"] == 5

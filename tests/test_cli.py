@@ -126,6 +126,18 @@ def test_malformed_argument_is_usage_diagnostic(argv):
     assert code == 1 and payload["kind"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count-perms", "--perm", "", "--n", "3"],
+    ["count-perms", "--perm", "12", "--n", "-1"],
+    ["count", "--pattern", "{pattern}", "--n", "-2"],
+], ids=["empty-perm", "negative-perm-length", "negative-count-size"])
+def test_invalid_count_input_is_domain_diagnostic(argv, tmp_path):
+    f = tmp_path / "p.g"
+    f.write_text("bipartite 2 2\n1 1\n2 2\n")
+    code, payload = run_json([a.format(pattern=f) for a in argv])
+    assert code == 1 and payload["kind"] == "domain"
+
+
 def test_table_rejects_sizes_below_one(tmp_path):
     f = tmp_path / "p.g"
     f.write_text("bipartite 2 2\n1 1\n2 2\n")

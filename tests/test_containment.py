@@ -206,3 +206,62 @@ def test_uses_edge_matches_oracle_on_added_edge(name):
                 (brute_force_embedding(after, pattern) is not None)
             checked += 1
     assert checked >= 25
+
+
+def _planted_host(rng, pattern, n, p):
+    """Seeded random host of density p with one copy of pattern planted."""
+    if pattern.flavor == "bipartite":
+        cells = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+        edges = set(rng.sample(cells, round(p * len(cells))))
+        us = sorted(rng.sample(range(1, n + 1), pattern.n_u))
+        vs = sorted(rng.sample(range(1, n + 1), pattern.n_v))
+        edges |= {(us[a - 1], vs[b - 1]) for a, b in pattern.edges}
+        return bipartite_graph(n, n, sorted(edges))
+    cells = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = set(rng.sample(cells, round(p * len(cells))))
+    xs = sorted(rng.sample(range(1, n + 1), pattern.n_u))
+    if pattern.flavor == "cyclic":
+        r = rng.randrange(len(xs))
+        xs = xs[r:] + xs[:r]
+    edges |= {tuple(sorted((xs[a - 1], xs[b - 1]))) for a, b in pattern.edges}
+    make = ordered_graph if pattern.flavor == "ordered" else cyclic_graph
+    return make(n, sorted(edges))
+
+
+WITNESS_PATTERNS = {
+    "hook": (HOOK_PATTERN, 40),
+    "H:1": (keszegh_h(1), 24),
+    "sailboat": (sailboat(), 24),
+    "crossing": (cyclic_graph(4, [(1, 3), (2, 4)]), 30),
+    "C4": (cyclic_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 30),
+}
+
+# Recorded once; a change here means the search order changed.
+WITNESSES = {
+    'hook#1': {'u_map': [1, 2, 4, 28]},
+    'hook#2': {'u_map': [1, 4, 26, 30]},
+    'hook#3': {'u_map': [1, 2, 15, 31]},
+    'H:1#1': {'u_map': [2, 3, 5, 6, 8, 9, 17], 'v_map': [1, 3, 6, 7, 9, 12, 23]},
+    'H:1#2': {'u_map': [2, 6, 7, 8, 10, 14, 23], 'v_map': [1, 5, 13, 16, 19, 20, 21]},
+    'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 15], 'v_map': [4, 6, 8, 9, 19, 20, 24]},
+    'sailboat#1': {'u_map': [5, 6, 9], 'v_map': [1, 3, 7, 23]},
+    'sailboat#2': {'u_map': [2, 8, 19], 'v_map': [1, 2, 5, 10]},
+    'sailboat#3': {'u_map': [7, 12, 17], 'v_map': [12, 13, 20, 23]},
+    'crossing#1': {'u_map': [1, 2, 3, 6]},
+    'crossing#2': {'u_map': [1, 2, 14, 17]},
+    'crossing#3': {'u_map': [2, 3, 6, 13]},
+    'C4#1': {'u_map': [1, 6, 8, 17]},
+    'C4#2': {'u_map': [1, 16, 29, 30]},
+    'C4#3': {'u_map': [13, 14, 18, 29]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESSES))
+def test_contains_witness_is_pinned(case):
+    """``contains`` returns the same first witness on seeded planted hosts."""
+    name, seed = case.rsplit("#", 1)
+    pattern, n = WITNESS_PATTERNS[name]
+    host = _planted_host(random.Random(int(seed)), pattern, n, 0.1)
+    emb = contains(host, pattern)
+    assert emb is not None and embedding_is_valid(host, pattern, emb)
+    assert emb.as_dict() == WITNESSES[case]

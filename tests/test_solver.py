@@ -79,6 +79,17 @@ def test_argument_validation():
         max_edges_avoiding("ordered", 3, pat)  # flavor mismatch
     with pytest.raises(GraphValueError):
         max_edges_avoiding("ordered", 3, ordered_graph(3, []))  # edgeless
+    with pytest.raises(GraphValueError):
+        count_avoiding_permutations(3, "")  # empty pattern
+    with pytest.raises(GraphValueError):
+        count_avoiding_permutations(-1, [1, 2])  # negative length
+
+
+def test_count_avoiders_refuses_negative_size():
+    pat = permutation_matching([1, 2])
+    with pytest.raises(GraphValueError):
+        count_avoiders(-2, pat)
+    assert count_avoiders(0, pat) == 1  # the empty host
 
 
 def test_solver_matches_oracle_randomized():
