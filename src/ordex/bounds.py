@@ -433,8 +433,11 @@ def derive_upper_bound(pattern: PatternGraph, depth: int = 12) -> BoundResult:
 
     When no chain of rules reaches a base case within the depth cap, the
     result is the trivial quadratic bound with ``no_derivation`` set;
-    that flag distinguishes an engine limit from a derived fact.
+    that flag distinguishes an engine limit from a derived fact.  Depth
+    0 tries the base cases only; a negative depth is refused.
     """
+    if depth < 0:
+        raise GraphValueError("derivation depth must be non-negative")
     if pattern.flavor != BIPARTITE:
         raise GraphValueError(
             "upper bound derivation takes bipartite patterns; classify ordered "

@@ -6,9 +6,11 @@ the payload; bumping the version orphans old files rather than
 corrupting them.  A repeated query returns the stored payload bytes
 unchanged.  A file that does not parse, or whose payload names another
 schema version, flavor, pattern or size, is a miss and is overwritten
-by the fresh solve.  Bipartite lookups additionally probe the symmetry
-variants of the pattern: a record solved for a variant transfers, with
-the witness mapped back through the inverse symmetry and revalidated.
+by the fresh solve.  Records are written to a temporary file and moved
+into place, so concurrent writers never tear a file.  Bipartite lookups
+additionally probe the symmetry variants of the pattern: a record
+solved for a variant transfers, with the witness mapped back through
+the inverse symmetry and revalidated.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 from pathlib import Path
 
 from .containment import contains
@@ -81,11 +84,19 @@ class RecordCache:
         return raw
 
     def store(self, rec: ExtremalRecord) -> bytes:
+        """Write the record atomically: a reader sees the old file or the
+        new one, never a torn one, whatever other writers do."""
         path = self._path(rec.flavor, rec.pattern, rec.n, rec.m)
         raw = (json.dumps(record_payload(rec), indent=1, sort_keys=True)
                + "\n").encode()
         self.base.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(raw)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        try:
+            tmp.write_bytes(raw)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return raw
 
     def _variant_hit(self, pattern: PatternGraph, n: int, m: int):

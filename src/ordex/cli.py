@@ -180,21 +180,20 @@ def _cmd_solve(args, cfg):
     m = args.m
     if pattern.flavor == BIPARTITE and m is None:
         m = args.n
-    caps = cfg.solver_caps()
     cache_dir = args.cache if args.cache else cfg.resolved_cache_dir()
     if cache_dir:
         cache = RecordCache(cache_dir)
         mm = m if m is not None else 0
         raw = cache.load_bytes(pattern.flavor, pattern, args.n, mm)
         if raw is None:
-            cache.fetch(pattern.flavor, pattern, args.n, m, caps=caps)
+            cache.fetch(pattern.flavor, pattern, args.n, m, caps=cfg.caps)
             raw = cache.load_bytes(pattern.flavor, pattern, args.n, mm)
         if cfg.output_format == "text":
             return json.loads(raw)
         # Cached payloads pass through untouched so repeat queries stay
         # byte-identical.
         return raw.decode().rstrip("\n")
-    rec = max_edges_avoiding(pattern.flavor, args.n, pattern, m=m, caps=caps)
+    rec = max_edges_avoiding(pattern.flavor, args.n, pattern, m=m, caps=cfg.caps)
     payload = record_payload(rec)
     if not args.witness:
         payload.pop("witness")
@@ -203,7 +202,7 @@ def _cmd_solve(args, cfg):
 
 def _cmd_count(args, cfg):
     pattern = _read_graph(args.pattern)
-    count = count_avoiders(args.n, pattern, caps=cfg.solver_caps())
+    count = count_avoiders(args.n, pattern, caps=cfg.caps)
     return {"n": args.n, "count": count}
 
 
@@ -212,17 +211,16 @@ def _cmd_count_perms(args, cfg):
         pi = _parse_perm_word(args.perm)
     except ValueError:
         raise DomainError("usage", f"bad permutation word {args.perm!r}")
-    count = count_avoiding_permutations(args.n, pi, caps=cfg.solver_caps())
+    count = count_avoiding_permutations(args.n, pi, caps=cfg.caps)
     return {"n": args.n, "pattern": args.perm, "count": count}
 
 
 def _cmd_table(args, cfg):
     pattern = _read_graph(args.pattern)
-    caps = cfg.solver_caps()
     cache_dir = args.cache if args.cache else cfg.resolved_cache_dir()
     cache = RecordCache(cache_dir) if cache_dir else None
-    rows = growth_table(pattern, pattern.flavor,
-                        range(args.n_min, args.n_max + 1), caps=caps, cache=cache)
+    rows = growth_table(pattern, pattern.flavor, range(args.n_min, args.n_max + 1),
+                        caps=cfg.caps, cache=cache)
     if args.format == "csv":
         lines = ["n,value,per_n,per_n_log_n"]
         for r in rows:
@@ -376,8 +374,7 @@ def dispatch(argv, out=None) -> int:
     if args.command == "table":
         mode = "json"
     try:
-        cfg = RunConfig(bound_depth=max(1, getattr(args, "depth", 12)),
-                        output_format="csv" if mode not in ("json", "text")
+        cfg = RunConfig(output_format="csv" if mode not in ("json", "text")
                         else mode)
         payload = args.handler(args, cfg)
     except DomainError as exc:

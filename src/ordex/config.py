@@ -7,48 +7,40 @@ from dataclasses import dataclass
 
 from .cache import default_cache_dir
 from .graphs import GraphValueError
-from .solver import SolverCaps
+from .solver import DEFAULT_CAPS, SolverCaps
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps, cache location and output knobs for one invocation.
+    """Solver caps, cache location and output format for one invocation.
 
-    Unknown keys are rejected by ``from_dict``; caps must be positive.
-    The cache directory falls back to the ORDEX_CACHE_DIR environment
-    variable and stays disabled when neither is set.
+    ``from_dict`` rejects unknown keys and takes ``caps`` as a mapping
+    of ``SolverCaps`` fields.  The cache directory falls back to the
+    ORDEX_CACHE_DIR environment variable and stays disabled when neither
+    is set.
     """
 
-    ordered_cap: int = 12
-    bipartite_cap: int = 8
-    cyclic_cap: int = 12
-    avoider_cap: int = 4
-    permutation_cap: int = 10
-    bound_depth: int = 12
+    caps: SolverCaps = DEFAULT_CAPS
     cache_dir: str | None = None
     output_format: str = "json"
-    seed: int | None = None
 
     def __post_init__(self):
-        for name in ("ordered_cap", "bipartite_cap", "cyclic_cap",
-                     "avoider_cap", "permutation_cap", "bound_depth"):
-            if getattr(self, name) < 1:
-                raise GraphValueError(f"{name} must be positive")
         if self.output_format not in ("json", "csv", "text"):
             raise GraphValueError(f"unknown output format {self.output_format!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise GraphValueError(f"unknown config keys: {sorted(unknown)}")
+        data = _known_fields(cls, data)
+        if "caps" in data:
+            data["caps"] = SolverCaps(**_known_fields(SolverCaps, data["caps"]))
         return cls(**data)
-
-    def solver_caps(self) -> SolverCaps:
-        return SolverCaps(ordered=self.ordered_cap, bipartite=self.bipartite_cap,
-                          cyclic=self.cyclic_cap, avoiders=self.avoider_cap,
-                          permutations=self.permutation_cap)
 
     def resolved_cache_dir(self) -> str | None:
         return self.cache_dir if self.cache_dir is not None else default_cache_dir()
+
+
+def _known_fields(cls, data: dict) -> dict:
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise GraphValueError(f"unknown config keys: {sorted(unknown)}")
+    return dict(data)

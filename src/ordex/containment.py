@@ -17,10 +17,14 @@ vertex, so a state's candidates are its window ANDed with the host
 neighborhoods of its placed pattern neighbors, and the exact solver's
 edge edits are a few bit operations.
 
-Cyclic containment reduces to the linear search: an injection preserves
-the cyclic order exactly when some rotation of the host labeling makes
-it strictly increasing, so the host is tried under all n rotations with
-the pattern read linearly from vertex 1.
+Cyclic containment is the same search run in windows.  An injection
+preserves the cyclic order exactly when some rotation of the host
+labeling makes it strictly increasing.  A cyclic host on n vertices is
+held as a linear host on 1..2n, where vertices x and x+n both stand for
+x, so the window base+1..base+n is the host under rotation ``base``.
+The pattern is read linearly from vertex 1, and every flavor searches
+the windows ``HostIndex.bases`` in turn: all n rotations for a cyclic
+host, the single window at 0 otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .graphs import BIPARTITE, CYCLIC, ORDERED, PatternGraph, rotate_cyclic
+from .graphs import BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph
 
 
 class FlavorMismatchError(ValueError):
@@ -79,21 +83,15 @@ class PatternIndex:
         pu = pattern.n_u
         pv = pattern.n_v
         self.n = pu + pv
-        self.part = [0] * self.n
-        self.idx = [0] * self.n
-        for i in range(pu):
-            self.idx[i] = i + 1
-        for j in range(pv):
-            self.part[pu + j] = 1
-            self.idx[pu + j] = j + 1
+        self.part = [0] * pu + [1] * pv
+        self.idx = list(range(1, pu + 1)) + list(range(1, pv + 1))
         self.part_count = (pu, pv)
         self.nbrs = [[] for _ in range(self.n)]
         self.edge_ids = []
+        # A single-part (ordered or cyclic) pattern is read linearly.
+        second = pu if pattern.flavor == BIPARTITE else 0
         for a, b in pattern.edges:
-            if pattern.flavor == BIPARTITE:
-                x, y = a - 1, pu + b - 1
-            else:
-                x, y = a - 1, b - 1
+            x, y = a - 1, second + b - 1
             self.edge_ids.append((x, y))
             self.nbrs[x].append(y)
             self.nbrs[y].append(x)
@@ -102,7 +100,6 @@ class PatternIndex:
 
     def _boundary_at(self, i, j):
         """Vertices with a neighbor beyond prefix (i, j), given flat ids."""
-        pu = self.part_count[0]
         out = []
         for p in range(self.n):
             if self.part[p] == 0 and self.idx[p] > i:
@@ -137,51 +134,39 @@ class PatternIndex:
     def _build_order(self):
         """Minimax merge of the two part sequences by estimated state count."""
         pu, pv = self.part_count
-        INF = float("inf")
-        cost = {}
-        for i in range(pu + 1):
-            for j in range(pv + 1):
-                cost[i, j] = self._prefix_cost(i, j)
-        best = {(0, 0): (cost[0, 0], cost[0, 0])}
+        INF = (float("inf"),) * 2
+        c = self._prefix_cost(0, 0)
+        best = {(0, 0): (c, c)}
         choice = {}
         for i in range(pu + 1):
             for j in range(pv + 1):
                 if (i, j) == (0, 0):
                     continue
-                up = best.get((i - 1, j), (INF, INF)) if i > 0 else (INF, INF)
-                left = best.get((i, j - 1), (INF, INF)) if j > 0 else (INF, INF)
-                if up <= left:
-                    prev, step = up, 0
-                else:
-                    prev, step = left, 1
-                c = cost[i, j]
+                up = best.get((i - 1, j), INF)
+                left = best.get((i, j - 1), INF)
+                step = 0 if up <= left else 1
+                prev = left if step else up
+                c = self._prefix_cost(i, j)
                 best[i, j] = (max(prev[0], c), prev[1] + c)
                 choice[i, j] = step
-        steps = []
+        # Walk the choices back from the full prefix, recording the
+        # vertex each step placed.
+        order = []
         i, j = pu, pv
         while (i, j) != (0, 0):
-            s = choice[i, j]
-            steps.append(s)
-            if s == 0:
+            if choice[i, j] == 0:
                 i -= 1
+                order.append(i)
             else:
                 j -= 1
-        steps.reverse()
-        order = []
-        i = j = 0
-        for s in steps:
-            if s == 0:
-                order.append(i)
-                i += 1
-            else:
-                j += 1
-                order.append(pu + j - 1)
+                order.append(pu + j)
+        order.reverse()
         self.order = order
         self.plan = []
         placed = set()
         old_boundary = ()
         lasts = [None, None]
-        ii = jj = 0
+        prefix = [0, 0]
         for p in order:
             pt = self.part[p]
             old_pos = {q: k for k, q in enumerate(old_boundary)}
@@ -190,11 +175,8 @@ class PatternIndex:
                             for q in self.nbrs[p] if q in placed)
             placed.add(p)
             lasts[pt] = p
-            if pt == 0:
-                ii += 1
-            else:
-                jj += 1
-            keep = set(self._boundary_at(ii, jj))
+            prefix[pt] += 1
+            keep = set(self._boundary_at(*prefix))
             for last in lasts:
                 if last is not None:
                     keep.add(last)
@@ -257,56 +239,79 @@ class HostIndex:
 
     Bit h of ``adj[part][x]`` is set when host vertex h is a neighbor of
     vertex x of that part; the neighbors live on the opposite part for
-    bipartite hosts.  ``deg[part][x]`` counts those bits.  Single-part
-    hosts alias both entries of ``sizes``, ``adj`` and ``deg`` to one
-    vertex set, so edge edits need no flavor branch.  The exact solver
-    edits it edge by edge; ``add_edge`` takes only absent edges and
-    ``remove_edge`` only present ones, or the degree counts drift.
+    bipartite hosts.  ``deg[part][x]`` is the degree of x in the host.
+    Single-part hosts alias both entries of ``sizes``, ``adj`` and
+    ``deg`` to one vertex set, so edge edits need no part branch.
+
+    A cyclic host of n vertices (``wrap`` = n, otherwise 0) is held on
+    vertices 1..2n.  Its edge (a, b) is stored as (a, b), (b, a+n) and
+    (a+n, b+n), and x+n keeps the degree of x, so the window
+    base+1..base+n, with its masks and degrees, is exactly the host
+    relabeled to start at vertex base+1.  ``bases`` lists the windows to
+    search: every rotation of a cyclic host, the one window at 0 of any
+    other.  Edges are given in host labels, a single-part edge lower
+    end first.  The exact solver edits the index edge by edge;
+    ``add_edge`` takes only absent edges and ``remove_edge`` only
+    present ones, or the degree counts drift.
     """
 
-    __slots__ = ("sizes", "adj", "deg")
+    __slots__ = ("sizes", "adj", "deg", "wrap", "bases")
 
     def __init__(self, flavor: str, n_u: int, n_v: int, edges=()):
+        self.wrap = n_u if flavor == CYCLIC else 0
+        self.bases = range(n_u) if flavor == CYCLIC else (0,)
         if flavor == BIPARTITE:
             self.sizes = (n_u, n_v)
             self.adj = ([0] * (n_u + 1), [0] * (n_v + 1))
             self.deg = ([0] * (n_u + 1), [0] * (n_v + 1))
         else:
-            adj = [0] * (n_u + 1)
-            deg = [0] * (n_u + 1)
+            adj = [0] * (n_u + self.wrap + 1)
+            deg = [0] * (n_u + self.wrap + 1)
             self.sizes = (n_u, n_u)
             self.adj = (adj, adj)
             self.deg = (deg, deg)
         for e in edges:
-            self.add_edge(e)
+            self._flip(e, 1)
 
     @classmethod
     def of(cls, g: PatternGraph) -> "HostIndex":
         return cls(g.flavor, g.n_u, g.n_v, g.edges)
 
     def add_edge(self, e):
-        a, b = e
-        self.adj[0][a] |= 1 << b
-        self.adj[1][b] |= 1 << a
-        self.deg[0][a] += 1
-        self.deg[1][b] += 1
+        self._flip(e, 1)
 
     def remove_edge(self, e):
+        self._flip(e, -1)
+
+    def _flip(self, e, step):
         a, b = e
-        self.adj[0][a] &= ~(1 << b)
-        self.adj[1][b] &= ~(1 << a)
-        self.deg[0][a] -= 1
-        self.deg[1][b] -= 1
+        adj, deg = self.adj, self.deg
+        adj[0][a] ^= 1 << b
+        adj[1][b] ^= 1 << a
+        deg[0][a] += step
+        deg[1][b] += step
+        n = self.wrap
+        if n:
+            adj, deg = adj[0], deg[0]
+            adj[b] ^= 1 << (a + n)
+            adj[a + n] ^= (1 << b) | (1 << (b + n))
+            adj[b + n] ^= 1 << (a + n)
+            deg[a + n] += step
+            deg[b + n] += step
 
 
-def find_embedding(P: PatternIndex, H: HostIndex, seeds=()) -> list[int] | None:
-    """Run the layered search; returns flat images (vertex id -> host) or None.
+def find_embedding(P: PatternIndex, H: HostIndex, seeds=(),
+                   base: int = 0) -> list[int] | None:
+    """Run the layered search in the window after ``base`` (one of
+    ``H.bases``); returns flat images (vertex id -> host) or None.
 
+    Only host vertices base+1..base+size of each part are used; images
+    and ``seeds`` are index labels, past n in a rotated cyclic window.
     A state's candidates for the next vertex are one bitmask: the step's
-    pool (host vertices 1..the upper window bound) with the bits below
+    pool (the window up to the vertex's upper bound) with the bits below
     the window anchor cleared, ANDed with the host neighborhood of each
-    placed pattern neighbor.  Its set bits are walked in ascending
-    order and kept if their degree is high enough.
+    placed pattern neighbor.  Its set bits are walked in ascending order
+    and kept if their degree is high enough.
 
     ``seeds`` force specific images, used by the exact solver to look
     only for embeddings through a just-added host edge.  The forced
@@ -317,7 +322,8 @@ def find_embedding(P: PatternIndex, H: HostIndex, seeds=()) -> list[int] | None:
     drop only states with no completion, so whether an embedding exists
     is unchanged.  Deterministic: layers are expanded in insertion
     order and candidates ascend, so the first witness found is always
-    the same.
+    the same, and moving the window shifts every state without
+    reordering any.
     """
     part_count = P.part_count
     sizes = H.sizes
@@ -332,15 +338,15 @@ def find_embedding(P: PatternIndex, H: HostIndex, seeds=()) -> list[int] | None:
     trail = []
     for (pt, prev_pos, get_head, get_tail, pending_pos, need_deg, pure,
          hi_off, slot, caps, later) in P.seed_plan(tuple(forced)):
-        hi_cap = sizes[pt] - hi_off
+        hi_cap = base + sizes[pt] - hi_off
         for s, gap in caps:
             if images[s] - gap < hi_cap:
                 hi_cap = images[s] - gap
-        if hi_cap < 1:
+        if hi_cap <= base:
             return None
         # Candidates allowed by the window and the seeds, the same for
         # every state.
-        pool = (2 << hi_cap) - 2
+        pool = (2 << hi_cap) - (2 << base)
         if slot >= 0:
             pool &= 1 << images[slot]
         for qt, s in later:
@@ -430,9 +436,12 @@ def _pareto_reduce(states: dict, pure: list) -> dict:
     return out
 
 
-def _split_image(P: PatternIndex, img: list[int]) -> Embedding:
-    pu, pv = P.part_count
-    return Embedding(tuple(img[:pu]), tuple(img[pu:pu + pv]))
+def _check_pair(host: PatternGraph, pattern: PatternGraph):
+    if host.flavor != pattern.flavor:
+        raise FlavorMismatchError(
+            f"host is {host.flavor}, pattern is {pattern.flavor}")
+    if not pattern.edges:
+        raise EdgelessPatternError("pattern graphs need at least one edge")
 
 
 def contains(host: PatternGraph, pattern: PatternGraph) -> Embedding | None:
@@ -442,33 +451,17 @@ def contains(host: PatternGraph, pattern: PatternGraph) -> Embedding | None:
     must agree.  Cyclic hosts are tried under all rotations and the
     returned embedding refers to the original labeling.
     """
-    if host.flavor != pattern.flavor:
-        raise FlavorMismatchError(
-            f"host is {host.flavor}, pattern is {pattern.flavor}")
-    if not pattern.edges:
-        raise EdgelessPatternError("pattern graphs need at least one edge")
-    if pattern.flavor == CYCLIC:
-        return _contains_cyclic(host, pattern)
+    _check_pair(host, pattern)
     P = pattern_index(pattern)
     H = HostIndex.of(host)
-    img = find_embedding(P, H)
-    if img is None:
-        return None
-    return _split_image(P, img)
-
-
-def _contains_cyclic(host: PatternGraph, pattern: PatternGraph) -> Embedding | None:
     n = host.n_u
-    P = pattern_index(PatternGraph(ORDERED, pattern.n_u, 0, pattern.edges))
-    if n == 0:
-        return None
-    for r in range(n):
-        rotated = rotate_cyclic(host, r)
-        H = HostIndex(ORDERED, n, 0, rotated.edges)
-        img = find_embedding(P, H)
+    for base in H.bases:
+        img = find_embedding(P, H, base=base)
         if img is not None:
-            original = tuple((h - 1 + r) % n + 1 for h in img)
-            return Embedding(original)
+            if base:
+                img = [(h - 1) % n + 1 for h in img]
+            pu = P.part_count[0]
+            return Embedding(tuple(img[:pu]), tuple(img[pu:]))
     return None
 
 
@@ -478,19 +471,33 @@ def embedding_uses_edge(host: PatternGraph, pattern: PatternGraph,
 
     Used by the exact solver: after adding one edge to a host known to
     avoid the pattern, containment can only arise through embeddings
-    whose image includes that edge.
+    whose image includes that edge.  The flavors must agree, the pattern
+    must have an edge and ``edge`` must be a host edge; a single-part
+    edge may be given in either order.
     """
-    P = pattern_index(pattern)
-    H = HostIndex.of(host)
-    return uses_edge(P, H, edge)
+    _check_pair(host, pattern)
+    a, b = edge
+    if not host.has_edge(a, b):
+        raise GraphValueError(f"({a}, {b}) is not an edge of the host")
+    if host.flavor != BIPARTITE and a > b:
+        a, b = b, a
+    return uses_edge(pattern_index(pattern), HostIndex.of(host), (a, b))
 
 
 def uses_edge(P: PatternIndex, H: HostIndex, edge: tuple[int, int]) -> bool:
-    """Forced-edge search against a prebuilt host index (solver hot path)."""
-    a, b = edge
-    for x, y in P.edge_ids:
-        if find_embedding(P, H, ((x, a), (y, b))) is not None:
-            return True
+    """Forced-edge search against a prebuilt host index (solver hot path).
+
+    Each window is seeded with the copy of the edge that lies inside
+    it: rotating (a, b) to (b, a+n) until its lower end passes the base.
+    """
+    n = H.wrap
+    for base in H.bases:
+        a, b = edge
+        while a <= base:
+            a, b = b, a + n
+        for x, y in P.edge_ids:
+            if find_embedding(P, H, ((x, a), (y, b)), base) is not None:
+                return True
     return False
 
 

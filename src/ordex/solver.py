@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .catalog import as_permutation
-from .containment import (HostIndex, contains, pattern_index, uses_edge)
-from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph)
+from .containment import HostIndex, contains, pattern_index, uses_edge
+from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph
 
 
 class SizeCapError(ValueError):
@@ -104,26 +104,15 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
 def _search(flavor, n, m, pattern):
     """Include-first DFS with incremental containment checks.
 
-    Bipartite and ordered hosts keep one host index.  A cyclic host is
-    kept as n ordered host indexes, one per rotation of its labeling,
-    all edited together, and the pattern is read linearly from vertex 1:
-    the host contains the cyclic pattern exactly when some rotation
-    contains the linear one.  Every inclusion is checked for embeddings
-    through the new edge under each rotation, which is sound because the
-    parent host avoids the pattern under every rotation.
+    One host index serves every flavor; a cyclic one covers all
+    rotations of the host (see ``HostIndex``).  Every inclusion is
+    checked only for embeddings through the new edge, which is sound
+    because the parent host avoids the pattern.
     """
     candidates = _candidate_edges(flavor, n, m)
     total = len(candidates)
-    if flavor == CYCLIC:
-        P = pattern_index(PatternGraph(ORDERED, pattern.n_u, 0, pattern.edges))
-        hosts = [HostIndex(ORDERED, n, 0) for _ in range(n)]
-        # Edge (a, b) read under rotation r, where vertex r+1 becomes 1.
-        views = [[(H, tuple(sorted(((a - 1 - r) % n + 1, (b - 1 - r) % n + 1))))
-                  for r, H in enumerate(hosts)] for a, b in candidates]
-    else:
-        P = pattern_index(pattern)
-        H = HostIndex(flavor, n, m)
-        views = [[(H, e)] for e in candidates]
+    P = pattern_index(pattern)
+    H = HostIndex(flavor, n, m)
     chosen = []
     best = {"value": -1, "edges": ()}
 
@@ -134,15 +123,13 @@ def _search(flavor, n, m, pattern):
             best["value"] = len(chosen)
             best["edges"] = tuple(chosen)
             return
-        edits = views[i]
-        for H, e in edits:
-            H.add_edge(e)
-        if not any(uses_edge(P, H, e) for H, e in edits):
-            chosen.append(candidates[i])
+        e = candidates[i]
+        H.add_edge(e)
+        if not uses_edge(P, H, e):
+            chosen.append(e)
             walk(i + 1)
             chosen.pop()
-        for H, e in edits:
-            H.remove_edge(e)
+        H.remove_edge(e)
         walk(i + 1)
 
     walk(0)

@@ -194,6 +194,11 @@ def test_depth_zero_still_finds_base_cases():
     assert res.no_derivation  # needs one stripping step
 
 
+def test_negative_depth_is_refused():
+    with pytest.raises(GraphValueError):
+        derive_upper_bound(permutation_matching([2, 1]), depth=-1)
+
+
 def test_rejects_non_bipartite_and_edgeless():
     with pytest.raises(GraphValueError):
         derive_upper_bound(ordered_graph(3, [(1, 2)]))

@@ -1,3 +1,7 @@
+import os
+
+import pytest
+
 from ordex.cache import RecordCache
 from ordex.catalog import permutation_matching
 from ordex.containment import contains
@@ -77,3 +81,26 @@ def test_foreign_record_is_a_miss_and_overwritten(tmp_path):
     rec = cache.fetch("bipartite", pat, 3, 3)
     assert rec.pattern == pat and rec.value == 5
     assert json.loads(path.read_bytes())["value"] == 5
+
+
+def test_failed_store_keeps_old_record_and_leaves_no_temp_file(tmp_path,
+                                                               monkeypatch):
+    cache = RecordCache(tmp_path)
+    pat = permutation_matching([1, 2])
+    rec = cache.fetch("bipartite", pat, 3, 3)
+    path = cache._path("bipartite", pat, 3, 3)
+    good = path.read_bytes()
+    path.write_bytes(b"old bytes")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        cache.store(rec)
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    monkeypatch.undo()
+    cache.store(rec)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

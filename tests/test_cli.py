@@ -170,6 +170,13 @@ def test_bound_both_directions(tmp_path):
     assert "derivation" in payload["upper"]
 
 
+def test_bound_negative_depth_is_domain_diagnostic(tmp_path):
+    f = tmp_path / "sb.g"
+    f.write_text(serialize_graph(sailboat()))
+    code, payload = run_json(["bound", "--pattern", str(f), "--depth", "-3"])
+    assert code == 1 and payload["kind"] == "domain"
+
+
 def test_bound_ordered_lifts(tmp_path):
     f = tmp_path / "m.g"
     f.write_text("ordered 4\n1 3\n2 4\n")  # matching, two intervals

@@ -3,25 +3,28 @@ import pytest
 from ordex.cache import default_cache_dir
 from ordex.config import RunConfig
 from ordex.graphs import GraphValueError
+from ordex.solver import SolverCaps
 
 
 def test_defaults():
-    cfg = RunConfig()
-    caps = cfg.solver_caps()
+    caps = RunConfig().caps
     assert caps.ordered == 12 and caps.bipartite == 8 and caps.cyclic == 12
     assert caps.avoiders == 4 and caps.permutations == 10
-    assert cfg.bound_depth == 12
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(GraphValueError):
-        RunConfig.from_dict({"ordered_cap": 4, "frobnicate": True})
-    assert RunConfig.from_dict({"ordered_cap": 4}).ordered_cap == 4
+        RunConfig.from_dict({"caps": {"ordered": 4}, "frobnicate": True})
+    with pytest.raises(GraphValueError):
+        RunConfig.from_dict({"caps": {"ordered": 4, "frobnicate": 1}})
+    assert RunConfig.from_dict({"caps": {"ordered": 4}}).caps.ordered == 4
 
 
 def test_caps_must_be_positive():
     with pytest.raises(GraphValueError):
-        RunConfig(bipartite_cap=0)
+        RunConfig(caps=SolverCaps(bipartite=0))
+    with pytest.raises(GraphValueError):
+        RunConfig.from_dict({"caps": {"bipartite": 0}})
     with pytest.raises(GraphValueError):
         RunConfig(output_format="xml")
 

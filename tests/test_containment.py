@@ -10,7 +10,8 @@ from ordex.constructions import power_distance_graph
 from ordex.containment import (EdgelessPatternError, FlavorMismatchError,
                                contains, embedding_is_valid,
                                embedding_uses_edge)
-from ordex.graphs import bipartite_graph, cyclic_graph, ordered_graph
+from ordex.graphs import (GraphValueError, PatternGraph, bipartite_graph,
+                          cyclic_graph, ordered_graph)
 
 from oracles import brute_force_embedding
 from strategies import bipartite_graphs_, cyclic_graphs, ordered_graphs
@@ -149,13 +150,15 @@ FORCED_PATTERNS = {
     "11/01": bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 2)]),
     "H:1": keszegh_h(1),
     "sailboat": sailboat(),
+    "cyclic-hook": cyclic_graph(4, [(1, 3), (1, 4), (2, 4)]),
+    "cyclic-crossing": cyclic_graph(4, [(1, 3), (2, 4)]),
+    "cyclic-C4": cyclic_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
 }
 
 
 def _random_avoider(rng, pattern, n, m):
     """A seeded host that avoids the pattern (by the oracle), and its cells."""
-    bipartite = pattern.flavor == "bipartite"
-    if bipartite:
+    if pattern.flavor == "bipartite":
         cells = [(u, v) for u in range(1, n + 1) for v in range(1, m + 1)]
     else:
         cells = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -165,8 +168,7 @@ def _random_avoider(rng, pattern, n, m):
     for cell in cells:
         if len(kept) == target:
             break
-        host = (bipartite_graph(n, m, kept + [cell]) if bipartite
-                else ordered_graph(n, kept + [cell]))
+        host = PatternGraph(pattern.flavor, n, m, kept + [cell])
         if brute_force_embedding(host, pattern) is None:
             kept.append(cell)
     return kept, cells
@@ -179,7 +181,10 @@ def test_uses_edge_matches_oracle_on_added_edge(name):
     Hosts avoid the pattern before the edge is added, as in the solver.
     Besides random edges, each host also gets edges too short (ordered)
     or too close to a corner (bipartite) for some pattern edge, where
-    the seeds contradict the index gaps and a layer empties early.
+    the seeds contradict the index gaps and a layer empties early.  On
+    cyclic hosts the edge (1, n) is short too, and the hook is not
+    rotation-symmetric, so some of its embeddings are found only in a
+    rotated window.
     """
     pattern = FORCED_PATTERNS[name]
     rng = random.Random(sum(map(ord, name)))
@@ -200,12 +205,26 @@ def test_uses_edge_matches_oracle_on_added_edge(name):
         for extra in extras:
             if extra in base or extra not in cells:
                 continue
-            after = (bipartite_graph(n, m, base + [extra]) if bipartite
-                     else ordered_graph(n, base + [extra]))
+            after = PatternGraph(pattern.flavor, n, m, base + [extra])
             assert embedding_uses_edge(after, pattern, extra) == \
                 (brute_force_embedding(after, pattern) is not None)
             checked += 1
     assert checked >= 25
+
+
+def test_uses_edge_refuses_bad_input():
+    host = ordered_graph(4, [(1, 3), (2, 4)])
+    with pytest.raises(FlavorMismatchError):
+        embedding_uses_edge(host, bipartite_graph(1, 1, [(1, 1)]), (1, 3))
+    with pytest.raises(EdgelessPatternError):
+        embedding_uses_edge(host, ordered_graph(2, []), (1, 3))
+    with pytest.raises(GraphValueError):
+        embedding_uses_edge(host, ordered_graph(2, [(1, 2)]), (1, 9))
+    with pytest.raises(GraphValueError):
+        embedding_uses_edge(host, ordered_graph(2, [(1, 2)]), (1, 2))
+    assert embedding_uses_edge(host, ordered_graph(2, [(1, 2)]), (3, 1))
+    cyclic = cyclic_graph(3, [(1, 3)])
+    assert embedding_uses_edge(cyclic, cyclic_graph(3, [(1, 2)]), (3, 1))
 
 
 def _planted_host(rng, pattern, n, p):
