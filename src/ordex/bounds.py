@@ -8,6 +8,12 @@ subexponential factor).  Every derivation step records the rule, the
 symmetry variant it fired on, its parameters and both canonical forms,
 so traces replay exactly.
 
+The search memo is a process-wide ``functools.lru_cache`` keyed by
+(canonical pattern, depth), shared by every call.  That is exact because
+the search result is a pure function of that key, and thread-safe
+because the cached candidates are immutable: two threads that miss on
+the same key compute equal values, and either may be kept.
+
 Bounds are antichains of terms n^a (log n)^b, optionally carrying a
 subexponential factor 2^(O(sqrt(log n log log n))), compared first by
 the exponent of n, then by the subexponential flag (it beats any power
@@ -351,19 +357,24 @@ def _best(a: _Candidate | None, b: _Candidate | None) -> _Candidate | None:
     return min(a, b, key=_Candidate.order_key)
 
 
-def _search_upper(canon: PatternGraph, depth: int, memo: dict) -> _Candidate | None:
-    key = (canon, depth)
-    if key in memo:
-        return memo[key]
+@lru_cache(maxsize=4096)
+def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
+    """Best candidate for a canonical pattern within the depth cap.
+
+    A pure function of its arguments: every child is searched by its own
+    canonical form at depth - 1, and ties between candidates are broken
+    by a fixed iteration order, so a cached result is the one a fresh
+    search would return.
+    """
     text = serialize_graph(canon)
+    variants = [(ops, apply_variant(canon, ops)) for ops in VARIANT_SEQUENCES]
     best = None
     if canon == _sailboat_canon():
         best = _Candidate(frozenset({BoundTerm(Fraction(1), 0, True)}),
                           (DerivationStep("sailboat_case", text, text,
                                           transform="n * subexponential factor"),),
                           "sailboat")
-    for ops in VARIANT_SEQUENCES:
-        variant = apply_variant(canon, ops)
+    for ops, variant in variants:
         cover = _matching_cover(variant)
         if cover is not None:
             m, pi, matching = cover
@@ -374,29 +385,25 @@ def _search_upper(canon: PatternGraph, depth: int, memo: dict) -> _Candidate | N
             best = _best(best, _Candidate(frozenset({LINEAR}), (step,),
                                           "generalized-matching"))
     if depth <= 0:
-        memo[key] = best
         return best
-    for ops in VARIANT_SEQUENCES:
-        variant = apply_variant(canon, ops)
+    for ops, variant in variants:
         for rule in _RULE_ORDER:
             enumerate_rule, transform = _RULES[rule]
             for child, params in enumerate_rule(variant):
                 if rule == "split_shared_edge":
-                    low, high = child
-                    sub_low = _search_upper(canonical_variant(low), depth - 1, memo)
+                    low, high = (canonical_variant(part) for part in child)
+                    sub_low = _search_upper(low, depth - 1)
                     if sub_low is None:
                         continue
-                    sub_high = _search_upper(canonical_variant(high), depth - 1, memo)
+                    sub_high = _search_upper(high, depth - 1)
                     if sub_high is None:
                         continue
                     steps = (
-                        DerivationStep(rule, text,
-                                       serialize_graph(canonical_variant(low)),
+                        DerivationStep(rule, text, serialize_graph(low),
                                        variant=ops, params=params + ("low",),
                                        transform=transform),
                     ) + sub_low.steps + (
-                        DerivationStep(rule, text,
-                                       serialize_graph(canonical_variant(high)),
+                        DerivationStep(rule, text, serialize_graph(high),
                                        variant=ops, params=params + ("high",),
                                        transform=transform),
                     ) + sub_high.steps
@@ -405,7 +412,7 @@ def _search_upper(canon: PatternGraph, depth: int, memo: dict) -> _Candidate | N
                     best = _best(best, _Candidate(terms, steps, terminal))
                 else:
                     child_canon = canonical_variant(child)
-                    sub = _search_upper(child_canon, depth - 1, memo)
+                    sub = _search_upper(child_canon, depth - 1)
                     if sub is None:
                         continue
                     step = DerivationStep(rule, text, serialize_graph(child_canon),
@@ -415,7 +422,6 @@ def _search_upper(canon: PatternGraph, depth: int, memo: dict) -> _Candidate | N
                     best = _best(best, _Candidate(_apply_terms(rule, sub.terms),
                                                   (step,) + sub.steps,
                                                   sub.terminal))
-    memo[key] = best
     return best
 
 
@@ -435,6 +441,10 @@ def derive_upper_bound(pattern: PatternGraph, depth: int = 12) -> BoundResult:
     result is the trivial quadratic bound with ``no_derivation`` set;
     that flag distinguishes an engine limit from a derived fact.  Depth
     0 tries the base cases only; a negative depth is refused.
+
+    Searches are memoized across calls by (canonical pattern, depth), so
+    a repeated or overlapping query reuses earlier subresults; the
+    answer is the same as from a cold search.
     """
     if depth < 0:
         raise GraphValueError("derivation depth must be non-negative")
@@ -445,7 +455,7 @@ def derive_upper_bound(pattern: PatternGraph, depth: int = 12) -> BoundResult:
     if not pattern.edges:
         raise GraphValueError("pattern graphs need at least one edge")
     canon = canonical_variant(pattern)
-    found = _search_upper(canon, depth, {})
+    found = _search_upper(canon, depth)
     if found is None:
         return BoundResult(AsymptoticBound.of({QUADRATIC}, UPPER),
                            Derivation((), "none"), no_derivation=True)

@@ -4,13 +4,15 @@ One file per record, keyed by flavor, exact pattern serialization and
 host dimensions, with a schema version baked into both the digest and
 the payload; bumping the version orphans old files rather than
 corrupting them.  A repeated query returns the stored payload bytes
-unchanged.  A file that does not parse, or whose payload names another
-schema version, flavor, pattern or size, is a miss and is overwritten
-by the fresh solve.  Records are written to a temporary file and moved
-into place, so concurrent writers never tear a file.  Bipartite lookups
-additionally probe the symmetry variants of the pattern: a record
-solved for a variant transfers, with the witness mapped back through
-the inverse symmetry and revalidated.
+unchanged.  A file that does not parse, whose payload names another
+schema version, flavor, pattern or size, or whose witness is not a
+host of the requested flavor and size with ``value`` edges that avoids
+the pattern, is a miss and is overwritten by the fresh solve.  Records
+are written to a temporary file and moved into place, so concurrent
+writers never tear a file.  Bipartite lookups additionally probe the
+symmetry variants of the pattern: a record solved for a variant
+transfers, with the witness mapped back through the inverse symmetry
+and revalidated.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import secrets
 from pathlib import Path
 
 from .containment import contains
-from .formats import parse_graph, serialize_graph
+from .formats import GraphTextError, parse_graph, serialize_graph
 from .graphs import (BIPARTITE, PatternGraph, VARIANT_SEQUENCES, apply_variant,
                      invert_variant)
 from .solver import DEFAULT_CAPS, ExtremalRecord, max_edges_avoiding
@@ -42,6 +44,12 @@ def record_payload(rec: ExtremalRecord) -> dict:
         "value": rec.value,
         "witness": serialize_graph(rec.witness),
     }
+
+
+def record_bytes(rec: ExtremalRecord) -> bytes:
+    """The bytes ``RecordCache.store`` writes for a record."""
+    return (json.dumps(record_payload(rec), indent=1, sort_keys=True)
+            + "\n").encode()
 
 
 def record_from_payload(payload: dict) -> ExtremalRecord:
@@ -79,7 +87,8 @@ class RecordCache:
         key = {"schema_version": SCHEMA_VERSION, "flavor": flavor,
                "pattern": serialize_graph(pattern), "n": n, "m": m}
         if (not isinstance(payload, dict)
-                or any(payload.get(k) != v for k, v in key.items())):
+                or any(payload.get(k) != v for k, v in key.items())
+                or not _witness_ok(payload, flavor, pattern, n, m)):
             return None
         return raw
 
@@ -87,8 +96,7 @@ class RecordCache:
         """Write the record atomically: a reader sees the old file or the
         new one, never a torn one, whatever other writers do."""
         path = self._path(rec.flavor, rec.pattern, rec.n, rec.m)
-        raw = (json.dumps(record_payload(rec), indent=1, sort_keys=True)
-               + "\n").encode()
+        raw = record_bytes(rec)
         self.base.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
         try:
@@ -141,6 +149,22 @@ class RecordCache:
         rec = max_edges_avoiding(flavor, n, pattern, m=m, caps=caps)
         self.store(rec)
         return rec
+
+
+def _witness_ok(payload: dict, flavor: str, pattern: PatternGraph,
+                n: int, m: int) -> bool:
+    """The stored witness is an n x m host of the flavor with ``value``
+    edges that avoids the pattern."""
+    text = payload.get("witness")
+    if not isinstance(text, str):
+        return False
+    try:
+        witness = parse_graph(text)
+    except GraphTextError:
+        return False
+    return ((witness.flavor, witness.n_u, witness.n_v) == (flavor, n, m)
+            and witness.n_edges == payload.get("value")
+            and contains(witness, pattern) is None)
 
 
 def default_cache_dir() -> str | None:

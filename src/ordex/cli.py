@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import catalog
 from .bounds import (classify_pattern, derive_lower_bound, derive_upper_bound,
                      lift_bipartite_to_ordered, ordered_to_bipartite)
-from .cache import RecordCache, record_payload
+from .cache import RecordCache, record_bytes, record_payload
 from .config import RunConfig
 from .constructions import power_distance_graph, random_ck_free, verify_construction
 from .containment import EdgelessPatternError, FlavorMismatchError, contains
@@ -186,8 +187,9 @@ def _cmd_solve(args, cfg):
         mm = m if m is not None else 0
         raw = cache.load_bytes(pattern.flavor, pattern, args.n, mm)
         if raw is None:
-            cache.fetch(pattern.flavor, pattern, args.n, m, caps=cfg.caps)
-            raw = cache.load_bytes(pattern.flavor, pattern, args.n, mm)
+            # The bytes store writes for the record; no need to read them back.
+            raw = record_bytes(cache.fetch(pattern.flavor, pattern, args.n, m,
+                                           caps=cfg.caps))
         if cfg.output_format == "text":
             return json.loads(raw)
         # Cached payloads pass through untouched so repeat queries stay
@@ -277,7 +279,9 @@ def _add_format_flag(p):
                    help="payload encoding: json for scripts, text for humans")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ordex",
         description="Extremal problems on vertex-ordered graphs: containment, "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 ORDERED = "ordered"
 BIPARTITE = "bipartite"
@@ -247,11 +248,14 @@ def invert_variant(ops: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(reversed(ops))
 
 
+@lru_cache(maxsize=4096)
 def bipartite_variants(g: PatternGraph) -> tuple[PatternGraph, ...]:
     """All distinct images of g under row/column reversal and part swap.
 
     Every member has the same extremal function as g.  The result is
-    sorted by the canonical key and contains at most eight graphs.
+    sorted by the canonical key and contains at most eight graphs.  It
+    is cached per graph and shared between callers, which is safe
+    because the tuple and every graph in it are immutable.
     """
     _require_bipartite(g)
     seen = {}

@@ -1,5 +1,7 @@
 """Bound engine: classification, rules, traces and both directions."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from ordex.catalog import (generalized_matching, keszegh_h,
 from ordex.graphs import (GraphValueError, bipartite_graph, bipartite_variants,
                           ordered_graph)
 
+from oracles import enumerate_tree_patterns
 from strategies import bipartite_graphs_, permutations_up_to
 
 FOUR_CYCLE = bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -192,6 +195,30 @@ def test_depth_zero_still_finds_base_cases():
     caterpillar = bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 2)])
     res = derive_upper_bound(caterpillar, depth=0)
     assert res.no_derivation  # needs one stripping step
+
+
+def _clear_ordex_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ordex") and module is not None:
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_shared_memo_gives_cold_results_in_any_order():
+    queries = [(g, depth) for depth in (12, 3, 0)
+               for g in enumerate_tree_patterns(5)]
+    assert len(queries) == 3 * 32
+    cold = {}
+    for g, depth in queries:
+        _clear_ordex_caches()
+        cold[g, depth] = derive_upper_bound(g, depth)
+    random.Random(5).shuffle(queries)
+    for g, depth in queries:
+        warm = derive_upper_bound(g, depth)
+        assert warm.as_dict() == cold[g, depth].as_dict()
+        if not warm.no_derivation:
+            assert replay_derivation(g, warm.derivation)
 
 
 def test_negative_depth_is_refused():

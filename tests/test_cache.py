@@ -83,6 +83,32 @@ def test_foreign_record_is_a_miss_and_overwritten(tmp_path):
     assert json.loads(path.read_bytes())["value"] == 5
 
 
+FULL_3X3 = "bipartite 3 3\n" + "".join(f"{u} {v}\n" for u in range(1, 4)
+                                        for v in range(1, 4))
+
+
+@pytest.mark.parametrize("forged", [
+    {"value": 9, "witness": FULL_3X3},          # witness contains the pattern
+    {"value": 6},                               # value disagrees with witness
+    {"witness": "bipartite 3 3\n1 9\n"},        # witness does not parse
+    {"value": 1, "witness": "bipartite 2 3\n1 1\n"},  # wrong size
+    {"value": 1, "witness": "ordered 3\n1 2\n"},      # wrong flavor
+], ids=["contains-pattern", "value-mismatch", "unparsable", "size", "flavor"])
+def test_record_with_bad_witness_is_a_miss_and_overwritten(tmp_path, forged):
+    import json
+
+    cache = RecordCache(tmp_path)
+    pat = permutation_matching([1, 2])
+    cache.fetch("bipartite", pat, 3, 3)
+    path = cache._path("bipartite", pat, 3, 3)
+    good = path.read_bytes()
+    path.write_text(json.dumps({**json.loads(good), **forged}))
+    assert cache.load_bytes("bipartite", pat, 3, 3) is None
+    rec = cache.fetch("bipartite", pat, 3, 3)
+    assert rec.value == 5 and contains(rec.witness, pat) is None
+    assert path.read_bytes() == good
+
+
 def test_failed_store_keeps_old_record_and_leaves_no_temp_file(tmp_path,
                                                                monkeypatch):
     cache = RecordCache(tmp_path)

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from ordex.cli import dispatch
+from ordex.cache import RecordCache
+from ordex.cli import build_parser, dispatch
 from ordex.formats import parse_graph, serialize_graph
 from ordex.catalog import sailboat, keszegh_h
 
@@ -93,14 +94,26 @@ def test_solve_and_cap(tmp_path):
     assert code == 1
 
 
-def test_solve_cache_hit_identical_bytes(tmp_path):
+def test_solve_cache_hit_identical_bytes(tmp_path, monkeypatch):
     f = tmp_path / "p.g"
     f.write_text("bipartite 2 2\n1 1\n2 2\n")
-    cache_dir = str(tmp_path / "cache")
+    cache_dir = tmp_path / "cache"
     args = ["solve", "--pattern", str(f), "--flavor", "bipartite",
-            "--n", "3", "--cache", cache_dir]
+            "--n", "3", "--cache", str(cache_dir)]
+    events = []
+    load, store = RecordCache.load_bytes, RecordCache.store
+    monkeypatch.setattr(RecordCache, "load_bytes", lambda self, *a:
+                        events.append("load") or load(self, *a))
+    monkeypatch.setattr(RecordCache, "store", lambda self, rec:
+                        events.append("store") or store(self, rec))
     code1, text1 = run(args)
+    # The miss prints the bytes it stored without reading the file back.
+    assert events[-1] == "store" and events.count("store") == 1
+    [record] = cache_dir.iterdir()
+    assert text1.encode() == record.read_bytes()
+    events.clear()
     code2, text2 = run(args)
+    assert events == ["load"]
     assert code1 == code2 == 0
     assert text1 == text2
 
@@ -270,6 +283,28 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run(["solve", "--pattern", "x"])  # missing required flags
     assert code == 2
+
+
+def test_shared_parser_keeps_no_state_between_commands(tmp_path):
+    """A usage error, a refusal and a good run in one process print what
+    each prints on a fresh import."""
+    import subprocess
+    import sys
+
+    f = tmp_path / "p.g"
+    f.write_text("bipartite 2 2\n1 1\n1 2\n2 2\n")
+    commands = [
+        ["bound", "--pattern", str(f), "--direction", "sideways"],
+        ["bound", "--pattern", str(f), "--depth", "-3"],
+        ["bound", "--pattern", str(f), "--trace"],
+    ]
+    assert build_parser() is build_parser()
+    in_process = [run(argv) for argv in commands]
+    assert [code for code, _ in in_process] == [2, 1, 0]
+    for argv, (code, text) in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "ordex", *argv],
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stdout) == (code, text)
 
 
 def test_missing_file_is_domain_error(tmp_path):

@@ -1,19 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordex.graphs import (GraphValueError, PatternGraph,
-                          bipartite_graph, bipartite_variants,
+from ordex.graphs import (VARIANT_SEQUENCES, GraphValueError, PatternGraph,
+                          apply_variant, bipartite_graph, bipartite_variants,
                           canonical_variant, circular_chromatic_number,
                           connected_components, cyclic_graph,
                           induced_subgraph, interval_chromatic_number,
                           ordered_graph, remove_isolated_vertices,
-                          underlying_shortest_cycle)
+                          underlying_shortest_cycle, variant_key)
 from ordex.catalog import (generalized_matching, keszegh_h, ordered_turan,
                            permutation_matching, sailboat)
 
 from oracles import brute_force_interval_chromatic
-from strategies import ordered_graphs
+from strategies import bipartite_graphs_, ordered_graphs
 
 
 def test_invariants_rejected():
@@ -79,11 +79,17 @@ def test_sailboat_symmetric_under_double_reversal():
     assert len(bipartite_variants(sb)) <= 8
 
 
-def test_canonical_variant_is_least_and_invariant():
-    g = permutation_matching([2, 1, 3])
-    canon = canonical_variant(g)
-    for v in bipartite_variants(g):
-        assert canonical_variant(v) == canon
+@given(bipartite_graphs_(max_n=6, max_m=6))
+@example(permutation_matching([2, 1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_canonical_variant_is_least_and_invariant(g):
+    # The reference takes the least image directly, bypassing the cached
+    # bipartite_variants that canonical_variant reads.
+    images = [apply_variant(g, ops) for ops in VARIANT_SEQUENCES]
+    least = min(images, key=variant_key)
+    assert canonical_variant(g) == least
+    for h in images:
+        assert canonical_variant(h) == least
 
 
 def test_remove_isolated():
