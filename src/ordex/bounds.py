@@ -8,6 +8,12 @@ subexponential factor).  Every derivation step records the rule, the
 symmetry variant it fired on, its parameters and both canonical forms,
 so traces replay exactly.
 
+A rule is one entry of the ordered ``_RULES`` table: its enumerator,
+the bound it gives the parent and its caveats.  The search and the
+replay read every rule through that entry alone, so a new rule (for
+one with a published proof, its source named in the enumerator's
+docstring) is one enumerator and one entry.
+
 The search memo is a process-wide ``functools.lru_cache`` keyed by
 (canonical pattern, depth), shared by every call.  That is exact because
 the search result is a pure function of that key, and thread-safe
@@ -23,6 +29,7 @@ of log), then by the log exponent.  Logarithms are binary throughout.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -168,8 +175,9 @@ class BoundResult:
 # Rule applications (shrinking direction)
 # ---------------------------------------------------------------------------
 # Each enumerator takes a concrete bipartite pattern and yields
-# (child pattern, params) pairs; rules are coded against one orientation
-# and reach the mirror configurations through the symmetry variants.
+# (children, params) pairs, one child for most rules and two for the
+# split; rules are coded against one orientation and reach the mirror
+# configurations through the symmetry variants.
 
 
 def _drop_columns(g: PatternGraph, cols) -> PatternGraph:
@@ -177,33 +185,31 @@ def _drop_columns(g: PatternGraph, cols) -> PatternGraph:
     return induced_subgraph(g, range(1, g.n_u + 1), keep)
 
 
+def _column_neighbours(g: PatternGraph):
+    """The edge set, and for each column the rows adjacent to it."""
+    col_nbrs = [[] for _ in range(g.n_v + 1)]
+    for u, v in g.edges:
+        col_nbrs[v].append(u)
+    return set(g.edges), col_nbrs
+
+
 def _strip_appended_leaf(g: PatternGraph):
     """Last row has degree one and shares its neighbor with the row before."""
-    if g.n_u < 2:
-        return
     last = g.n_u
-    eset = set(g.edges)
     nbrs = [v for u, v in g.edges if u == last]
-    if len(nbrs) != 1:
-        return
-    w = nbrs[0]
-    if (last - 1, w) in eset:
-        child = induced_subgraph(g, range(1, last), range(1, g.n_v + 1))
-        yield child, ()
+    if len(nbrs) == 1 and (last - 1, nbrs[0]) in set(g.edges):
+        yield (induced_subgraph(g, range(1, last), range(1, g.n_v + 1)),), ()
 
 
 def _strip_inserted_leaf(g: PatternGraph):
     """Interior degree-one column whose two flanking columns share its neighbor."""
-    eset = set(g.edges)
-    col_nbrs = [[] for _ in range(g.n_v + 1)]
-    for u, v in g.edges:
-        col_nbrs[v].append(u)
+    eset, col_nbrs = _column_neighbours(g)
     for j in range(2, g.n_v):
         if len(col_nbrs[j]) != 1:
             continue
         u = col_nbrs[j][0]
         if (u, j - 1) in eset and (u, j + 1) in eset:
-            yield _drop_columns(g, [j]), (j,)
+            yield (_drop_columns(g, [j]),), (j,)
 
 
 def _split_shared_edge(g: PatternGraph):
@@ -220,17 +226,13 @@ def _split_shared_edge(g: PatternGraph):
 def _strip_isolated(g: PatternGraph):
     du, dv = g.degrees()
     if 0 in du or 0 in dv:
-        child, _ = remove_isolated_vertices(g)
-        yield child, ()
+        yield (remove_isolated_vertices(g)[0],), ()
 
 
 def _strip_guarded_leaf(g: PatternGraph):
     """Degree-one column between consecutive columns, in the four-edge
     configuration that costs one log factor to remove."""
-    eset = set(g.edges)
-    col_nbrs = [[] for _ in range(g.n_v + 1)]
-    for u, v in g.edges:
-        col_nbrs[v].append(u)
+    eset, col_nbrs = _column_neighbours(g)
     for j in range(2, g.n_v):
         if len(col_nbrs[j]) != 1:
             continue
@@ -239,17 +241,14 @@ def _strip_guarded_leaf(g: PatternGraph):
             continue
         for u1 in range(1, g.n_u + 1):
             if u1 != u0 and (u1, j - 1) in eset and (u1, j + 1) in eset:
-                yield _drop_columns(g, [j]), (u0, u1, j)
+                yield (_drop_columns(g, [j]),), (u0, u1, j)
                 break
 
 
 def _strip_leaf_pair(g: PatternGraph):
     """Two adjacent interior degree-one columns flanked by their owners'
     other edges; removing both costs log squared."""
-    eset = set(g.edges)
-    col_nbrs = [[] for _ in range(g.n_v + 1)]
-    for u, v in g.edges:
-        col_nbrs[v].append(u)
+    eset, col_nbrs = _column_neighbours(g)
     for j in range(2, g.n_v - 1):
         if len(col_nbrs[j]) != 1 or len(col_nbrs[j + 1]) != 1:
             continue
@@ -258,40 +257,48 @@ def _strip_leaf_pair(g: PatternGraph):
         if u0 == u1:
             continue
         if (u0, j - 1) in eset and (u1, j + 2) in eset:
-            yield _drop_columns(g, [j, j + 1]), (u0, u1, j)
+            yield (_drop_columns(g, [j, j + 1]),), (u0, u1, j)
+
+
+def _plus_linear(terms: frozenset) -> frozenset:
+    return terms | {LINEAR}
+
+
+def _times_log(power: int):
+    def apply(terms: frozenset) -> frozenset:
+        return frozenset(BoundTerm(t.n_exp, t.log_exp + power, t.subexp)
+                         for t in terms)
+    return apply
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One reduction: its enumerator, the bound it gives the parent (the
+    text a trace shows and the map from the union of the children's
+    terms to the parent's), caveats, and the param suffix each child's
+    step records, in the order the enumerator yields the children."""
+
+    enumerator: Callable
+    transform: str
+    terms: Callable[[frozenset], frozenset]
+    caveats: tuple[str, ...] = ()
+    sides: tuple[tuple[str, ...], ...] = ((),)
 
 
 _RULES = {
-    "strip_appended_leaf": (_strip_appended_leaf, "bound + n"),
-    "strip_isolated": (_strip_isolated, "bound + n"),
-    "strip_inserted_leaf": (_strip_inserted_leaf, "2 * bound"),
-    "split_shared_edge": (_split_shared_edge, "bound(low) + bound(high)"),
-    "strip_guarded_leaf": (_strip_guarded_leaf, "bound * log n"),
-    "strip_leaf_pair": (_strip_leaf_pair, "bound * log^2 n"),
-}
-
-_RULE_ORDER = ("strip_appended_leaf", "strip_isolated", "strip_inserted_leaf",
-               "split_shared_edge", "strip_guarded_leaf", "strip_leaf_pair")
-
-_RULE_CAVEATS = {
+    "strip_appended_leaf": _Rule(_strip_appended_leaf, "bound + n", _plus_linear),
+    "strip_isolated": _Rule(_strip_isolated, "bound + n", _plus_linear),
     # Stated for single-part hosts; applied to two-part patterns as well,
     # flagged so a reader can discount those steps.
-    "strip_inserted_leaf": ("rule-proved-for-single-part-hosts",),
+    "strip_inserted_leaf": _Rule(_strip_inserted_leaf, "2 * bound",
+                                 lambda terms: terms,
+                                 caveats=("rule-proved-for-single-part-hosts",)),
+    "split_shared_edge": _Rule(_split_shared_edge, "bound(low) + bound(high)",
+                               lambda terms: terms, sides=(("low",), ("high",))),
+    "strip_guarded_leaf": _Rule(_strip_guarded_leaf, "bound * log n",
+                                _times_log(1)),
+    "strip_leaf_pair": _Rule(_strip_leaf_pair, "bound * log^2 n", _times_log(2)),
 }
-
-
-def _apply_terms(rule: str, child_terms: frozenset) -> frozenset:
-    if rule in ("strip_appended_leaf", "strip_isolated"):
-        return child_terms | {LINEAR}
-    if rule == "strip_inserted_leaf":
-        return child_terms
-    if rule == "strip_guarded_leaf":
-        return frozenset(BoundTerm(t.n_exp, t.log_exp + 1, t.subexp)
-                         for t in child_terms)
-    if rule == "strip_leaf_pair":
-        return frozenset(BoundTerm(t.n_exp, t.log_exp + 2, t.subexp)
-                         for t in child_terms)
-    raise GraphValueError(f"unknown rule {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,50 +394,29 @@ def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
     if depth <= 0:
         return best
     for ops, variant in variants:
-        for rule in _RULE_ORDER:
-            enumerate_rule, transform = _RULES[rule]
-            for child, params in enumerate_rule(variant):
-                if rule == "split_shared_edge":
-                    low, high = (canonical_variant(part) for part in child)
-                    sub_low = _search_upper(low, depth - 1)
-                    if sub_low is None:
-                        continue
-                    sub_high = _search_upper(high, depth - 1)
-                    if sub_high is None:
-                        continue
-                    steps = (
-                        DerivationStep(rule, text, serialize_graph(low),
-                                       variant=ops, params=params + ("low",),
-                                       transform=transform),
-                    ) + sub_low.steps + (
-                        DerivationStep(rule, text, serialize_graph(high),
-                                       variant=ops, params=params + ("high",),
-                                       transform=transform),
-                    ) + sub_high.steps
-                    terms = frozenset(sub_low.terms | sub_high.terms)
-                    terminal = _join_terminals(sub_low.terminal, sub_high.terminal)
-                    best = _best(best, _Candidate(terms, steps, terminal))
-                else:
+        for name, rule in _RULES.items():
+            for children, params in rule.enumerator(variant):
+                steps, terms, terminals = (), frozenset(), []
+                for child, side in zip(children, rule.sides):
                     child_canon = canonical_variant(child)
                     sub = _search_upper(child_canon, depth - 1)
                     if sub is None:
-                        continue
-                    step = DerivationStep(rule, text, serialize_graph(child_canon),
-                                          variant=ops, params=params,
-                                          transform=transform,
-                                          caveats=_RULE_CAVEATS.get(rule, ()))
-                    best = _best(best, _Candidate(_apply_terms(rule, sub.terms),
-                                                  (step,) + sub.steps,
-                                                  sub.terminal))
+                        break
+                    steps += (DerivationStep(
+                        name, text, serialize_graph(child_canon), variant=ops,
+                        params=params + side, transform=rule.transform,
+                        caveats=rule.caveats),) + sub.steps
+                    terms |= sub.terms
+                    terminals.append(sub.terminal)
+                else:
+                    best = _best(best, _Candidate(rule.terms(terms), steps,
+                                                  _join_terminals(*terminals)))
     return best
 
 
-def _join_terminals(a: str, b: str) -> str:
-    parts = []
-    for t in a.split(";") + b.split(";"):
-        if t not in parts:
-            parts.append(t)
-    return ";".join(parts)
+def _join_terminals(*terminals: str) -> str:
+    """The distinct base-case ids of the terminals, in first-seen order."""
+    return ";".join(dict.fromkeys(";".join(terminals).split(";")))
 
 
 def derive_upper_bound(pattern: PatternGraph, depth: int = 12) -> BoundResult:
@@ -499,17 +485,14 @@ def _replay_step(step: DerivationStep) -> bool:
         if serialize_graph(matching) != step.result:
             return False
         return contains(matching, variant) is not None
-    if step.rule == "split_shared_edge":
-        x, y, side = step.params
-        for (low, high), params in _split_shared_edge(variant):
-            if params == (x, y):
-                child = low if side == "low" else high
-                return serialize_graph(canonical_variant(child)) == step.result
+    rule = _RULES.get(step.rule)
+    if rule is None:
         return False
-    enumerate_rule, _ = _RULES[step.rule]
-    for child, params in enumerate_rule(variant):
-        if params == tuple(step.params):
-            return serialize_graph(canonical_variant(child)) == step.result
+    wanted = tuple(step.params)
+    for children, params in rule.enumerator(variant):
+        for child, side in zip(children, rule.sides):
+            if params + side == wanted:
+                return serialize_graph(canonical_variant(child)) == step.result
     return False
 
 

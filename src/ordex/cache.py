@@ -5,14 +5,15 @@ host dimensions, with a schema version baked into both the digest and
 the payload; bumping the version orphans old files rather than
 corrupting them.  A repeated query returns the stored payload bytes
 unchanged.  A file that does not parse, whose payload names another
-schema version, flavor, pattern or size, or whose witness is not a
-host of the requested flavor and size with ``value`` edges that avoids
-the pattern, is a miss and is overwritten by the fresh solve.  Records
-are written to a temporary file and moved into place, so concurrent
-writers never tear a file.  Bipartite lookups additionally probe the
-symmetry variants of the pattern: a record solved for a variant
-transfers, with the witness mapped back through the inverse symmetry
-and revalidated.
+schema version, flavor, pattern or size, whose value is not an integer,
+whose witness is not a host of the requested flavor and size with
+``value`` edges that avoids the pattern, or whose bytes are not exactly
+those ``store`` writes for its record, is a miss and is overwritten by
+the fresh solve.  Records are written to a temporary file and moved
+into place, so concurrent writers never tear a file.  Bipartite lookups
+additionally probe the symmetry variants of the pattern: a record
+solved for a variant transfers, with the witness mapped back through
+the inverse symmetry and revalidated.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import json
 import os
 import secrets
+from functools import lru_cache
 from pathlib import Path
 
 from .containment import contains
@@ -46,21 +48,15 @@ def record_payload(rec: ExtremalRecord) -> dict:
     }
 
 
+@lru_cache(maxsize=256)
 def record_bytes(rec: ExtremalRecord) -> bytes:
-    """The bytes ``RecordCache.store`` writes for a record."""
+    """The bytes ``RecordCache.store`` writes for a record.
+
+    Memoized, so printing a record that was just checked or stored does
+    not encode it again.
+    """
     return (json.dumps(record_payload(rec), indent=1, sort_keys=True)
             + "\n").encode()
-
-
-def record_from_payload(payload: dict) -> ExtremalRecord:
-    return ExtremalRecord(
-        flavor=payload["flavor"],
-        pattern=parse_graph(payload["pattern"]),
-        n=payload["n"],
-        m=payload["m"],
-        value=payload["value"],
-        witness=parse_graph(payload["witness"]),
-    )
 
 
 class RecordCache:
@@ -76,19 +72,11 @@ class RecordCache:
 
     def load_bytes(self, flavor: str, pattern: PatternGraph,
                    n: int, m: int) -> bytes | None:
-        path = self._path(flavor, pattern, n, m)
-        if not path.exists():
-            return None
-        raw = path.read_bytes()
         try:
-            payload = json.loads(raw)
-        except ValueError:
+            raw = self._path(flavor, pattern, n, m).read_bytes()
+        except FileNotFoundError:
             return None
-        key = {"schema_version": SCHEMA_VERSION, "flavor": flavor,
-               "pattern": serialize_graph(pattern), "n": n, "m": m}
-        if (not isinstance(payload, dict)
-                or any(payload.get(k) != v for k, v in key.items())
-                or not _witness_ok(payload, flavor, pattern, n, m)):
+        if _stored_record(raw, flavor, pattern, n, m) is None:
             return None
         return raw
 
@@ -121,7 +109,8 @@ class RecordCache:
             vn, vm = (m, n) if swapped else (n, m)
             raw = self.load_bytes(BIPARTITE, variant, vn, vm)
             if raw is not None:
-                return record_from_payload(json.loads(raw)), invert_variant(ops)
+                return (_stored_record(raw, BIPARTITE, variant, vn, vm),
+                        invert_variant(ops))
         return None
 
     def fetch(self, flavor: str, pattern: PatternGraph, n: int,
@@ -135,7 +124,7 @@ class RecordCache:
         mm = m if m is not None else 0
         raw = self.load_bytes(flavor, pattern, n, mm)
         if raw is not None:
-            return record_from_payload(json.loads(raw))
+            return _stored_record(raw, flavor, pattern, n, mm)
         if flavor == BIPARTITE:
             hit = self._variant_hit(pattern, n, mm)
             if hit is not None:
@@ -151,20 +140,43 @@ class RecordCache:
         return rec
 
 
-def _witness_ok(payload: dict, flavor: str, pattern: PatternGraph,
-                n: int, m: int) -> bool:
-    """The stored witness is an n x m host of the flavor with ``value``
-    edges that avoids the pattern."""
+@lru_cache(maxsize=256)
+def _stored_record(raw: bytes, flavor: str, pattern: PatternGraph,
+                   n: int, m: int) -> ExtremalRecord | None:
+    """The record a file's bytes hold for the key, or None when they do
+    not parse, name another schema version or key, hold a witness that
+    is not an n x m host of the flavor with ``value`` edges avoiding the
+    pattern, or are not exactly the bytes ``store`` writes for the record.
+
+    Memoized, so ``fetch`` rebuilds the record ``load_bytes`` just
+    checked for free; exact because the answer is a pure function of the
+    arguments and the records are immutable.
+    """
+    try:
+        payload = json.loads(raw)
+    except ValueError:
+        return None
+    if not isinstance(payload, dict):
+        return None
+    key = {"schema_version": SCHEMA_VERSION, "flavor": flavor,
+           "pattern": serialize_graph(pattern), "n": n, "m": m}
     text = payload.get("witness")
-    if not isinstance(text, str):
-        return False
+    if any(payload.get(k) != v for k, v in key.items()) or not isinstance(text, str):
+        return None
     try:
         witness = parse_graph(text)
     except GraphTextError:
-        return False
-    return ((witness.flavor, witness.n_u, witness.n_v) == (flavor, n, m)
-            and witness.n_edges == payload.get("value")
-            and contains(witness, pattern) is None)
+        return None
+    value = payload.get("value")
+    # true and 1.0 equal 1, so they would pass the edge count and share
+    # the memo entry of a record whose value is 1.
+    if (type(value) is not int
+            or (witness.flavor, witness.n_u, witness.n_v) != (flavor, n, m)
+            or witness.n_edges != value
+            or contains(witness, pattern) is not None):
+        return None
+    rec = ExtremalRecord(flavor, pattern, n, m, value, witness)
+    return rec if record_bytes(rec) == raw else None
 
 
 def default_cache_dir() -> str | None:

@@ -183,16 +183,11 @@ def _cmd_solve(args, cfg):
         m = args.n
     cache_dir = args.cache if args.cache else cfg.resolved_cache_dir()
     if cache_dir:
-        cache = RecordCache(cache_dir)
-        mm = m if m is not None else 0
-        raw = cache.load_bytes(pattern.flavor, pattern, args.n, mm)
-        if raw is None:
-            # The bytes store writes for the record; no need to read them back.
-            raw = record_bytes(cache.fetch(pattern.flavor, pattern, args.n, m,
-                                           caps=cfg.caps))
+        raw = record_bytes(RecordCache(cache_dir).fetch(
+            pattern.flavor, pattern, args.n, m, caps=cfg.caps))
         if cfg.output_format == "text":
             return json.loads(raw)
-        # Cached payloads pass through untouched so repeat queries stay
+        # A hit's file holds exactly these bytes, so repeat queries stay
         # byte-identical.
         return raw.decode().rstrip("\n")
     rec = max_edges_avoiding(pattern.flavor, args.n, pattern, m=m, caps=cfg.caps)

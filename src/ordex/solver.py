@@ -193,15 +193,20 @@ def count_avoiding_permutations(n: int, pi,
         # Too short to ever contain the pattern.
         return math.factorial(n)
     prefix = []
-    pattern_ranks = sorted(range(k), key=lambda t: pi[t])
+    # The pattern's positions in value order: k entries form an
+    # occurrence when their values, read in this order, increase.
+    by_value = sorted(range(k), key=lambda t: pi[t])
 
     def last_completes_occurrence():
-        i = len(prefix) - 1
-        for combo in itertools.combinations(range(i), k - 1):
-            positions = list(combo) + [i]
-            values = [prefix[p] for p in positions]
-            ranks = sorted(range(k), key=lambda t: values[t])
-            if ranks == pattern_ranks:
+        last = prefix[-1]
+        for combo in itertools.combinations(prefix[:-1], k - 1):
+            values = combo + (last,)
+            prev = 0
+            for t in by_value:
+                if values[t] < prev:
+                    break
+                prev = values[t]
+            else:
                 return True
         return False
 

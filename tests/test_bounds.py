@@ -238,6 +238,49 @@ def test_replay_rejects_tampered_trace():
     assert not replay_derivation(permutation_matching([1, 2]), res.derivation)
 
 
+STAIRCASE = bipartite_graph(3, 3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+
+
+@pytest.mark.parametrize("rule, side, replays", [
+    ("split_shared_edge", ("high",), True),
+    ("split_shared_edge", ("mid",), False),
+    ("split_shared_edge", (), False),
+    ("nope", ("high",), False),
+], ids=["honest", "unknown-side", "no-side", "unknown-rule"])
+def test_replay_refuses_forged_steps(rule, side, replays):
+    """A split step replays only with a side its rule records; a step
+    naming no known rule is refused, not raised on."""
+    from ordex.bounds import Derivation, DerivationStep, _split_shared_edge
+    from ordex.formats import serialize_graph
+    from ordex.graphs import canonical_variant
+
+    canon = canonical_variant(STAIRCASE)
+    (low, high), (x, y) = next(_split_shared_edge(canon))
+    step = DerivationStep(rule, serialize_graph(canon),
+                          serialize_graph(canonical_variant(high)),
+                          params=(x, y) + side)
+    derivation = Derivation((step,), "generalized-matching")
+    assert replay_derivation(STAIRCASE, derivation) is replays
+
+
+def test_bound_digest_is_pinned():
+    """The bound engine's output on the scripts/bound_digest.py corpus
+    (values, traces, replay verdicts, canonical forms, classes) is
+    byte-identical to the pinned digest."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "bound_digest.py")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split()[-1] == (
+        "2645faf44cde10010847ae54a358b8a25ed3dcca434123fe96ba11170fd29f16")
+
+
 # ---------------------------------------------------------------------------
 # lower bounds and the lift
 # ---------------------------------------------------------------------------

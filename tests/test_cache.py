@@ -83,6 +83,22 @@ def test_foreign_record_is_a_miss_and_overwritten(tmp_path):
     assert json.loads(path.read_bytes())["value"] == 5
 
 
+def test_compact_record_is_a_miss_and_overwritten(tmp_path):
+    """A record that matches its key but is not in the stored layout would
+    print other bytes than a fresh solve, so it is a miss."""
+    import json
+
+    cache = RecordCache(tmp_path)
+    pat = permutation_matching([1, 2])
+    rec = cache.fetch("bipartite", pat, 3, 3)
+    path = cache._path("bipartite", pat, 3, 3)
+    good = path.read_bytes()
+    path.write_text(json.dumps(json.loads(good)))
+    assert cache.load_bytes("bipartite", pat, 3, 3) is None
+    assert cache.fetch("bipartite", pat, 3, 3) == rec
+    assert path.read_bytes() == good
+
+
 FULL_3X3 = "bipartite 3 3\n" + "".join(f"{u} {v}\n" for u in range(1, 4)
                                         for v in range(1, 4))
 
@@ -106,6 +122,22 @@ def test_record_with_bad_witness_is_a_miss_and_overwritten(tmp_path, forged):
     assert cache.load_bytes("bipartite", pat, 3, 3) is None
     rec = cache.fetch("bipartite", pat, 3, 3)
     assert rec.value == 5 and contains(rec.witness, pat) is None
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+def test_non_integer_value_is_a_miss_and_overwritten(tmp_path, value):
+    import json
+
+    cache = RecordCache(tmp_path)
+    pat = permutation_matching([1, 2])
+    cache.fetch("bipartite", pat, 3, 3)
+    path = cache._path("bipartite", pat, 3, 3)
+    good = path.read_bytes()
+    forged = {**json.loads(good), "value": value, "witness": "bipartite 3 3\n1 1\n"}
+    path.write_text(json.dumps(forged, indent=1, sort_keys=True) + "\n")
+    assert cache.load_bytes("bipartite", pat, 3, 3) is None
+    assert cache.fetch("bipartite", pat, 3, 3).value == 5
     assert path.read_bytes() == good
 
 

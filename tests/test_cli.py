@@ -118,6 +118,28 @@ def test_solve_cache_hit_identical_bytes(tmp_path, monkeypatch):
     assert text1 == text2
 
 
+def test_solve_reads_a_forged_record_once(tmp_path, monkeypatch):
+    f = tmp_path / "p.g"
+    f.write_text("ordered 3\n1 2\n2 3\n")
+    cache_dir = tmp_path / "cache"
+    args = ["solve", "--pattern", str(f), "--flavor", "ordered", "--n", "4",
+            "--cache", str(cache_dir)]
+    code, good = run(args)
+    assert code == 0
+    [record] = cache_dir.iterdir()
+    forged = json.loads(record.read_bytes())
+    forged["value"] = 99
+    record.write_text(json.dumps(forged, indent=1, sort_keys=True) + "\n")
+    keys = []
+    load = RecordCache.load_bytes
+    monkeypatch.setattr(RecordCache, "load_bytes", lambda self, *a:
+                        keys.append(a) or load(self, *a))
+    code, text = run(args)
+    assert (code, text) == (0, good)
+    assert keys.count(("ordered", parse_graph(f.read_text()), 4, 0)) == 1
+    assert record.read_text() == good
+
+
 def test_count_and_count_perms(tmp_path):
     f = tmp_path / "p.g"
     f.write_text("bipartite 2 2\n1 1\n2 2\n")
