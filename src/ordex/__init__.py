@@ -14,7 +14,7 @@ from .bounds import (AsymptoticBound, BoundResult, BoundTerm, Classification,
 from .cache import RecordCache
 from .catalog import (as_permutation, complete_ordered, generalized_matching,
                       keszegh_h, ordered_turan, permutation_matching, sailboat)
-from .config import RunConfig
+from .config import SolverCaps
 from .constructions import (ConstructionReport, power_distance_graph,
                             random_ck_free, verify_construction)
 from .containment import (EdgelessPatternError, Embedding, FlavorMismatchError,
@@ -26,7 +26,7 @@ from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
                      cyclic_graph, induced_subgraph, interval_chromatic_number,
                      ordered_graph, remove_isolated_vertices,
                      underlying_shortest_cycle)
-from .solver import (ExtremalRecord, SizeCapError, SolverCaps, count_avoiders,
+from .solver import (ExtremalRecord, SizeCapError, count_avoiders,
                      count_avoiding_permutations, growth_table,
                      max_edges_avoiding)
 from .transforms import (Hat, find_double_extended_hat, hat_triple_embedding,

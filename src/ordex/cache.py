@@ -25,11 +25,12 @@ import secrets
 from functools import lru_cache
 from pathlib import Path
 
+from .config import DEFAULT_CAPS, SolverCaps
 from .containment import contains
 from .formats import GraphTextError, parse_graph, serialize_graph
 from .graphs import (BIPARTITE, PatternGraph, VARIANT_SEQUENCES, apply_variant,
                      invert_variant)
-from .solver import DEFAULT_CAPS, ExtremalRecord, max_edges_avoiding
+from .solver import ExtremalRecord, max_edges_avoiding
 
 SCHEMA_VERSION = 1
 
@@ -114,7 +115,8 @@ class RecordCache:
         return None
 
     def fetch(self, flavor: str, pattern: PatternGraph, n: int,
-              m: int | None = None, caps=DEFAULT_CAPS) -> ExtremalRecord:
+              m: int | None = None,
+              caps: SolverCaps = DEFAULT_CAPS) -> ExtremalRecord:
         """Cached record, or solve and persist one.
 
         Exact-key hits reuse the stored payload byte for byte; bipartite

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit status contract: 0 on success with the payload on stdout, 1 on a
-domain refusal (size caps, flavor mismatches, malformed graph files)
-with a JSON diagnostic on stdout, 2 on usage errors (argparse).
+domain refusal (size caps, flavor mismatches, malformed graph files,
+paths that cannot be read or written) with a JSON diagnostic on stdout,
+2 on usage errors (argparse).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from functools import lru_cache
 from . import catalog
 from .bounds import (classify_pattern, derive_lower_bound, derive_upper_bound,
                      lift_bipartite_to_ordered, ordered_to_bipartite)
-from .cache import RecordCache, record_bytes, record_payload
-from .config import RunConfig
+from .cache import RecordCache, default_cache_dir, record_bytes, record_payload
 from .constructions import power_distance_graph, random_ck_free, verify_construction
 from .containment import EdgelessPatternError, FlavorMismatchError, contains
 from .formats import GraphTextError, parse_graph, serialize_graph
@@ -92,7 +92,7 @@ def _text_lines(payload, prefix=""):
 # Subcommand handlers; each returns the payload to emit.
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args, cfg):
+def _cmd_gen(args):
     family = args.family
     head, _, rest = family.partition(":")
     try:
@@ -110,12 +110,10 @@ def _cmd_gen(args, cfg):
             raise DomainError("usage", f"unknown generator {family!r}")
         return serialize_graph(g)
     except (ValueError, GraphValueError) as exc:
-        if isinstance(exc, DomainError):
-            raise
         raise DomainError("generator", f"bad generator {family!r}: {exc}")
 
 
-def _cmd_contains(args, cfg):
+def _cmd_contains(args):
     host = _read_graph(args.host)
     pattern = _read_graph(args.pattern)
     emb = contains(host, pattern)
@@ -125,7 +123,7 @@ def _cmd_contains(args, cfg):
     return payload
 
 
-def _cmd_chromatic(args, cfg):
+def _cmd_chromatic(args):
     g = _read_graph(args.graph)
     if g.flavor == CYCLIC:
         chi = circular_chromatic_number(g)
@@ -138,7 +136,7 @@ def _cmd_chromatic(args, cfg):
     return {"flavor": g.flavor, "chi": chi}
 
 
-def _cmd_construct(args, cfg):
+def _cmd_construct(args):
     head, _, rest = args.family.partition(":")
     try:
         if head == "pow":
@@ -173,7 +171,7 @@ def _cmd_construct(args, cfg):
     return payload
 
 
-def _cmd_solve(args, cfg):
+def _cmd_solve(args):
     pattern = _read_graph(args.pattern)
     if args.flavor != pattern.flavor:
         raise DomainError("flavor",
@@ -181,43 +179,43 @@ def _cmd_solve(args, cfg):
     m = args.m
     if pattern.flavor == BIPARTITE and m is None:
         m = args.n
-    cache_dir = args.cache if args.cache else cfg.resolved_cache_dir()
+    cache_dir = args.cache or default_cache_dir()
     if cache_dir:
         raw = record_bytes(RecordCache(cache_dir).fetch(
-            pattern.flavor, pattern, args.n, m, caps=cfg.caps))
-        if cfg.output_format == "text":
+            pattern.flavor, pattern, args.n, m))
+        if args.format == "text":
             return json.loads(raw)
         # A hit's file holds exactly these bytes, so repeat queries stay
         # byte-identical.
         return raw.decode().rstrip("\n")
-    rec = max_edges_avoiding(pattern.flavor, args.n, pattern, m=m, caps=cfg.caps)
+    rec = max_edges_avoiding(pattern.flavor, args.n, pattern, m=m)
     payload = record_payload(rec)
     if not args.witness:
         payload.pop("witness")
     return payload
 
 
-def _cmd_count(args, cfg):
+def _cmd_count(args):
     pattern = _read_graph(args.pattern)
-    count = count_avoiders(args.n, pattern, caps=cfg.caps)
+    count = count_avoiders(args.n, pattern)
     return {"n": args.n, "count": count}
 
 
-def _cmd_count_perms(args, cfg):
+def _cmd_count_perms(args):
     try:
         pi = _parse_perm_word(args.perm)
     except ValueError:
         raise DomainError("usage", f"bad permutation word {args.perm!r}")
-    count = count_avoiding_permutations(args.n, pi, caps=cfg.caps)
+    count = count_avoiding_permutations(args.n, pi)
     return {"n": args.n, "pattern": args.perm, "count": count}
 
 
-def _cmd_table(args, cfg):
+def _cmd_table(args):
     pattern = _read_graph(args.pattern)
-    cache_dir = args.cache if args.cache else cfg.resolved_cache_dir()
+    cache_dir = args.cache or default_cache_dir()
     cache = RecordCache(cache_dir) if cache_dir else None
     rows = growth_table(pattern, pattern.flavor, range(args.n_min, args.n_max + 1),
-                        caps=cfg.caps, cache=cache)
+                        cache=cache)
     if args.format == "csv":
         lines = ["n,value,per_n,per_n_log_n"]
         for r in rows:
@@ -228,7 +226,7 @@ def _cmd_table(args, cfg):
              "per_n_log_n": r.per_n_log_n} for r in rows]
 
 
-def _cmd_bound(args, cfg):
+def _cmd_bound(args):
     pattern = _read_graph(args.pattern)
     payload = {"pattern": serialize_graph(pattern).strip()}
     directions = ("upper", "lower") if args.direction == "both" else (args.direction,)
@@ -260,7 +258,7 @@ def _cmd_bound(args, cfg):
     return payload
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args):
     g = _read_graph(args.graph)
     pattern = _read_graph(args.pattern)
     report = verify_construction(g, pattern)
@@ -373,9 +371,7 @@ def dispatch(argv, out=None) -> int:
     if args.command == "table":
         mode = "json"
     try:
-        cfg = RunConfig(output_format="csv" if mode not in ("json", "text")
-                        else mode)
-        payload = args.handler(args, cfg)
+        payload = args.handler(args)
     except DomainError as exc:
         _emit(out, exc.payload, mode)
         return 1
@@ -384,6 +380,10 @@ def dispatch(argv, out=None) -> int:
         return 1
     except (FlavorMismatchError, EdgelessPatternError, GraphValueError) as exc:
         _emit(out, {"error": str(exc), "kind": "domain"}, mode)
+        return 1
+    except OSError as exc:
+        _emit(out, {"error": f"cannot access {exc.filename}: {exc.strerror}",
+                    "kind": "io"}, mode)
         return 1
     _emit(out, payload, mode)
     return 0

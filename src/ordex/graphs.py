@@ -148,7 +148,7 @@ def interval_chromatic_number(g: PatternGraph) -> int:
         raise GraphValueError("interval chromatic number is defined on ordered graphs")
     if g.n_u == 0:
         return 1
-    nbrs = _ordered_adjacency(g)
+    nbrs = _underlying_adjacency(g)
     count = 1
     start = 1
     for v in range(2, g.n_u + 1):
@@ -187,14 +187,6 @@ def rotate_cyclic(g: PatternGraph, r: int) -> PatternGraph:
         nb = (b - 1 - r) % n + 1
         edges.append((na, nb) if na < nb else (nb, na))
     return PatternGraph(CYCLIC, n, 0, tuple(edges))
-
-
-def _ordered_adjacency(g: PatternGraph) -> list[set]:
-    nbrs = [set() for _ in range(g.n_u + 1)]
-    for a, b in g.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +300,25 @@ def induced_subgraph(g: PatternGraph, u_keep, v_keep=None) -> PatternGraph:
     return PatternGraph(g.flavor, len(u_keep), 0, e)
 
 
+def _underlying_adjacency(g: PatternGraph) -> list[list[int]]:
+    """Neighbor lists of the underlying graph on vertices 1..n_u+n_v; a
+    bipartite graph's second part is numbered after its first."""
+    shift = g.n_u if g.flavor == BIPARTITE else 0
+    adj = [[] for _ in range(g.n_u + g.n_v + 1)]
+    for a, b in g.edges:
+        adj[a].append(b + shift)
+        adj[b + shift].append(a)
+    return adj
+
+
 def connected_components(g: PatternGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Components of the underlying graph as (u-vertices, v-vertices) pairs.
 
     For ordered and cyclic graphs the second tuple is always empty.
     Isolated vertices each form their own component.
     """
-    if g.flavor == BIPARTITE:
-        total = g.n_u + g.n_v
-        adj = [[] for _ in range(total + 1)]
-        for u, v in g.edges:
-            adj[u].append(g.n_u + v)
-            adj[g.n_u + v].append(u)
-    else:
-        total = g.n_u
-        adj = [[] for _ in range(total + 1)]
-        for a, b in g.edges:
-            adj[a].append(b)
-            adj[b].append(a)
+    adj = _underlying_adjacency(g)
+    total = g.n_u + g.n_v
     seen = [False] * (total + 1)
     out = []
     for s in range(1, total + 1):
@@ -341,12 +334,9 @@ def connected_components(g: PatternGraph) -> list[tuple[tuple[int, ...], tuple[i
                     seen[y] = True
                     comp.append(y)
                     queue.append(y)
-        if g.flavor == BIPARTITE:
-            us = tuple(sorted(x for x in comp if x <= g.n_u))
-            vs = tuple(sorted(x - g.n_u for x in comp if x > g.n_u))
-            out.append((us, vs))
-        else:
-            out.append((tuple(sorted(comp)), ()))
+        comp.sort()
+        out.append((tuple(x for x in comp if x <= g.n_u),
+                    tuple(x - g.n_u for x in comp if x > g.n_u)))
     return out
 
 
@@ -356,16 +346,8 @@ def underlying_shortest_cycle(g: PatternGraph) -> int | None:
     For bipartite graphs the underlying graph is the union graph on
     n_u + n_v vertices.
     """
-    if g.flavor == BIPARTITE:
-        total = g.n_u + g.n_v
-        pairs = [(u, g.n_u + v) for u, v in g.edges]
-    else:
-        total = g.n_u
-        pairs = list(g.edges)
-    adj = [[] for _ in range(total + 1)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _underlying_adjacency(g)
+    total = g.n_u + g.n_v
     best = None
     # BFS from every vertex; a non-tree edge at depths d1, d2 closes a
     # cycle of length d1 + d2 + 1 through the root.

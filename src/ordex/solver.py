@@ -19,31 +19,13 @@ import math
 from dataclasses import dataclass
 
 from .catalog import as_permutation
+from .config import DEFAULT_CAPS, SolverCaps
 from .containment import HostIndex, contains, pattern_index, uses_edge
 from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph
 
 
 class SizeCapError(ValueError):
     """A requested instance exceeds the configured solver caps."""
-
-
-@dataclass(frozen=True)
-class SolverCaps:
-    """Per-flavor instance size guards; exceeding one is a refusal, not a clamp."""
-
-    ordered: int = 12
-    bipartite: int = 8
-    cyclic: int = 12
-    avoiders: int = 4
-    permutations: int = 10
-
-    def __post_init__(self):
-        for name in ("ordered", "bipartite", "cyclic", "avoiders", "permutations"):
-            if getattr(self, name) < 1:
-                raise GraphValueError(f"cap {name} must be positive")
-
-
-DEFAULT_CAPS = SolverCaps()
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 import io
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordex.cache import RecordCache
 from ordex.cli import build_parser, dispatch
@@ -300,11 +304,43 @@ def test_cache_dir_from_environment(tmp_path, monkeypatch):
     assert any(cache_dir.iterdir())
 
 
+def test_cache_flag_wins_over_environment(tmp_path, monkeypatch):
+    f = tmp_path / "p.g"
+    f.write_text("bipartite 2 2\n1 1\n2 2\n")
+    env_dir, flag_dir = tmp_path / "envcache", tmp_path / "flagcache"
+    monkeypatch.setenv("ORDEX_CACHE_DIR", str(env_dir))
+    code, _ = run(["solve", "--pattern", str(f), "--flavor", "bipartite",
+                   "--n", "2", "--cache", str(flag_dir)])
+    assert code == 0
+    assert any(flag_dir.iterdir()) and not env_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "pow:2:ordered", "--n", "8",
+     "--out", "{afile}/x.g"],
+    ["solve", "--pattern", "{pattern}", "--flavor", "bipartite", "--n", "2",
+     "--cache", "{afile}/sub"],
+    ["table", "--pattern", "{pattern}", "--n-min", "1", "--n-max", "2",
+     "--cache", "{afile}/sub"],
+], ids=["construct-out", "solve-cache", "table-cache"])
+def test_unwritable_path_is_io_diagnostic(argv, tmp_path):
+    """A path under a plain file can be neither written nor read."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    f = tmp_path / "p.g"
+    f.write_text("bipartite 2 2\n1 1\n2 2\n")
+    code, payload = run_json([a.format(afile=afile, pattern=f) for a in argv])
+    assert code == 1 and payload["kind"] == "io"
+    assert payload["error"].startswith(f"cannot access {afile}/")
+
+
 def test_usage_errors_exit_two():
     code, _ = run(["definitely-not-a-command"])
     assert code == 2
     code, _ = run(["solve", "--pattern", "x"])  # missing required flags
     assert code == 2
+    code, text = run(["count", "--pattern", "x", "--n", "2", "--format", "xml"])
+    assert code == 2 and text == ""
 
 
 def test_shared_parser_keeps_no_state_between_commands(tmp_path):
@@ -347,3 +383,134 @@ def test_cross_process_determinism(tmp_path):
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_cli_digest_is_pinned():
+    """Every command of the scripts/cli_digest.py corpus (payloads, exit
+    codes, refusals of each kind, cache hits) prints the pinned bytes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "cli_digest.py")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split()[-1] == (
+        "eb4f2fb6216537614d1ed808d5f9c17be51bae3f00e71b368cae13eceeaa0323")
+
+
+# ---------------------------------------------------------------------------
+# Property: every argv stays inside the exit-code contract.
+# ---------------------------------------------------------------------------
+
+ARGV_FIXTURES = {
+    "ordered.g": "ordered 4\n1 3\n1 4\n2 4\n",
+    "bipartite.g": "bipartite 2 2\n1 1\n2 2\n",
+    "cyclic.g": "cyclic 4\n1 3\n2 4\n",
+    "edgeless.g": "ordered 3\n",
+    "header.g": "graph 3\n1 2\n",
+    "afile": "",
+}
+GRAPH_FILES = ["{d}/ordered.g", "{d}/bipartite.g", "{d}/cyclic.g",
+               "{d}/edgeless.g", "{d}/header.g", "{d}/absent.g"]
+FAMILY_HEADS = ["sailboat", "H", "match", "turan", "pow", "ckfree", "bogus"]
+FAMILY_FIELDS = ["", "0", "-1", "x", "2", "3", "12", "1,2", "21",
+                 "ordered", "cyclic", "bipartite"]
+DIAGNOSTIC = jsonschema.Draft7Validator(json.loads(
+    (Path(__file__).resolve().parents[1] / "src" / "ordex" / "schemas"
+     / "diagnostic.json").read_text()))
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    for name, text in ARGV_FIXTURES.items():
+        (d / name).write_text(text)
+    return d
+
+
+def _req(flag, values):
+    """[flag, value] for one value drawn from values."""
+    return st.sampled_from(values).map(lambda v: [flag, str(v)])
+
+
+def _opt(flag, values):
+    """Either nothing or what _req draws."""
+    return st.just([]) | _req(flag, values)
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    return st.tuples(*(st.just([p]) if isinstance(p, str) else p
+                       for p in parts)).map(lambda ps: sum(ps, []))
+
+
+_graph = st.sampled_from(GRAPH_FILES)
+_fragments = st.builds(lambda head, fields: ":".join([head, *fields]),
+                       st.sampled_from(FAMILY_HEADS),
+                       st.lists(st.sampled_from(FAMILY_FIELDS), max_size=3))
+_gen_family = st.sampled_from(["sailboat", "H:2", "match:2:21:ordered",
+                               "match:1:1,2:cyclic", "turan:6:2"]) | _fragments
+_construct_family = st.sampled_from(["pow:2:ordered", "pow:3:bipartite",
+                                     "ckfree:3", "ckfree:4"]) | _fragments
+FLAVORS = ["ordered", "bipartite", "cyclic"]
+# Half the solves name the flavor of their pattern file.
+_solve_pattern = st.one_of(
+    st.sampled_from(FLAVORS).map(
+        lambda f: ["--pattern", f"{{d}}/{f}.g", "--flavor", f]),
+    st.tuples(_graph, st.sampled_from(FLAVORS)).map(
+        lambda gf: ["--pattern", gf[0], "--flavor", gf[1]]))
+_format = _opt("--format", ["json", "text"])
+_cache = _opt("--cache", ["{d}/cache", "{d}/afile/sub"])
+
+CLI_ARGV = st.one_of(
+    st.sampled_from([[], ["nonsense"], ["solve", "--n", "2"],
+                     ["count", "--pattern", "{d}/bipartite.g", "--n", "x"],
+                     ["bound", "--pattern", "{d}/ordered.g", "--depth"]]),
+    _argv("gen", _gen_family.map(lambda f: [f])),
+    _argv("construct", _construct_family.map(lambda f: ["--family", f]),
+          _req("--n", [-1, 0, 3, 8, 16]), _opt("--seed", [0, 7, -1]),
+          _opt("--verify", GRAPH_FILES),
+          _opt("--out", ["{d}/out.g", "{d}/afile/x.g"]), _format),
+    _argv("contains", _req("--host", GRAPH_FILES), _req("--pattern", GRAPH_FILES),
+          _flag("--witness"), _format),
+    _argv("chromatic", _graph.map(lambda g: [g]), _format),
+    _argv("solve", _solve_pattern,
+          _req("--n", [-1, 0, 1, 2, 3, 13]), _opt("--m", [-1, 0, 2, 3, 9]),
+          _flag("--witness"), _cache, _format),
+    _argv("count", _req("--pattern", GRAPH_FILES),
+          _req("--n", [-1, 0, 1, 2, 3, 13]), _format),
+    _argv("count-perms", _req("--perm", ["132", "12", "21", "1", "", "1x2",
+                                         "2,1,3", "1,2"]),
+          _req("--n", [-1, 0, 3, 5, 11]), _format),
+    _argv("table", _req("--pattern", GRAPH_FILES),
+          _req("--n-min", [-1, 0, 1, 2]), _req("--n-max", [-1, 0, 1, 2]),
+          _opt("--format", ["json", "csv"]), _cache),
+    _argv("bound", _req("--pattern", GRAPH_FILES),
+          _opt("--direction", ["upper", "lower", "both"]), _flag("--trace"),
+          _opt("--depth", [-1, 0, 3, 12]), _format),
+    _argv("verify", _req("--graph", GRAPH_FILES), _req("--pattern", GRAPH_FILES),
+          _format),
+)
+
+
+@given(CLI_ARGV)
+@settings(max_examples=300, deadline=None)
+def test_every_argv_keeps_the_exit_contract(argv_dir, argv):
+    argv = [a.format(d=argv_dir) for a in argv]
+    code, text = run(argv)
+    assert code in (0, 1, 2)
+    fmt = dict(zip(argv, argv[1:])).get("--format", "json")
+    if code == 2:
+        assert text == ""
+    elif code == 1 and fmt != "text":
+        DIAGNOSTIC.validate(json.loads(text))
+    elif code == 0 and fmt == "json" and argv[0] != "gen":
+        json.loads(text)

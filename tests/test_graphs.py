@@ -2,8 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordex.graphs import (VARIANT_SEQUENCES, GraphValueError, PatternGraph,
-                          apply_variant, bipartite_graph, bipartite_variants,
+from ordex.graphs import (BIPARTITE, VARIANT_SEQUENCES, GraphValueError,
+                          PatternGraph, apply_variant, bipartite_graph,
+                          bipartite_variants,
                           canonical_variant, circular_chromatic_number,
                           connected_components, cyclic_graph,
                           induced_subgraph, interval_chromatic_number,
@@ -12,8 +13,8 @@ from ordex.graphs import (VARIANT_SEQUENCES, GraphValueError, PatternGraph,
 from ordex.catalog import (generalized_matching, keszegh_h, ordered_turan,
                            permutation_matching, sailboat)
 
-from oracles import brute_force_interval_chromatic
-from strategies import bipartite_graphs_, ordered_graphs
+from oracles import brute_force_interval_chromatic, find_k_cycle
+from strategies import bipartite_graphs_, cyclic_graphs, ordered_graphs
 
 
 def test_invariants_rejected():
@@ -123,6 +124,17 @@ def test_underlying_shortest_cycle():
     assert underlying_shortest_cycle(triangle) == 3
     hexagon = bipartite_graph(3, 3, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)])
     assert underlying_shortest_cycle(hexagon) == 6
+
+
+@given(st.one_of(ordered_graphs(max_n=7), cyclic_graphs(max_n=7),
+                 bipartite_graphs_(max_n=4, max_m=4)))
+@settings(max_examples=150, deadline=None)
+def test_shortest_cycle_is_least_cycle_length(g):
+    flat = g
+    if g.flavor == BIPARTITE:
+        flat = ordered_graph(g.n_u + g.n_v, [(u, g.n_u + v) for u, v in g.edges])
+    least = next((k for k in range(3, flat.n_u + 1) if find_k_cycle(flat, k)), None)
+    assert underlying_shortest_cycle(g) == least
 
 
 @given(ordered_graphs(max_n=7))
