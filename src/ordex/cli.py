@@ -147,6 +147,9 @@ def _cmd_construct(args):
     except ValueError as exc:
         raise DomainError("usage", f"bad construction family {args.family!r}: {exc}")
     if head == "pow":
+        if args.seed is not None:
+            raise DomainError("usage", "construction family pow is deterministic "
+                                       "and takes no --seed")
         g = power_distance_graph(args.n, base_value, flavor)
         family = f"pow:{base}:{flavor}"
     elif head == "ckfree":

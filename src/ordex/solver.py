@@ -6,9 +6,20 @@ order.  Each branch decides the next candidate in or out; including an
 edge triggers a containment check restricted to embeddings through that
 edge, which is sound because the parent host was avoidance-certified.
 The first leaf reached by the include-first walk is the greedy
-saturation, which seeds the bound, and because subsets are visited in
-lexicographic order the witness kept for the optimum is the
-lexicographically least one.  Values and witnesses are therefore
+saturation, which seeds the best value so far.
+
+A branch is cut when no leaf below it can beat that value.  Besides
+the count of cells left, two suffix bounds in the manner of Füredi and
+Hajnal (1992) cap a branch at candidate (a, b): every sub-host of an
+avoiding host avoids the pattern, so the cells after row a hold at
+most ex(n-a) edges, and rows a..n, with the edges row a already has,
+hold at most ex(n-a+1).  The ex values of smaller instances come from
+the same search, memoised per (flavor, size, m, pattern).  Every bound
+holds for every leaf below the branch and a cut needs it to be no
+better than the best so far, so the first leaf of the include-first
+walk that reaches the optimum is never cut.  Because subsets are
+visited in lexicographic order, the witness kept for the optimum is
+the lexicographically least one, and values and witnesses are
 reproducible run to run.
 """
 
@@ -17,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .catalog import as_permutation
 from .config import DEFAULT_CAPS, SolverCaps
@@ -90,32 +102,75 @@ def _search(flavor, n, m, pattern):
     rotations of the host (see ``HostIndex``).  Every inclusion is
     checked only for embeddings through the new edge, which is sound
     because the parent host avoids the pattern.
+
+    Candidates run row by row, so at candidate (a, b) every undecided
+    edge lies in the rest of row a or in the sub-host on rows (vertices)
+    a+1..n, and rows a..n hold row a's chosen edges too.  Those
+    sub-hosts avoid the pattern, so a branch is cut when neither
+
+        chosen + min(cells left, row rest + ex(n-a))
+        chosen before row a + ex(n-a+1)
+
+    can beat the best leaf so far (``_suffix_value`` gives ex).  Both are
+    upper bounds on every leaf below, so the first include-first leaf
+    reaching the optimum is never cut and the witness stays the
+    lexicographically least.
     """
     candidates = _candidate_edges(flavor, n, m)
     total = len(candidates)
+    width = m if flavor == BIPARTITE else n
     P = pattern_index(pattern)
     H = HostIndex(flavor, n, m)
     chosen = []
-    best = {"value": -1, "edges": ()}
+    best = -1
+    best_edges = ()
+    # Per row a: (ex(n-a), ex(n-a+1)), filled the first time a branch in
+    # the row could be cut (a leaf exists), with total standing in for
+    # the whole host's own value, which is what this search computes.
+    row_bounds = [None] * (n + 1)
 
-    def walk(i):
-        if len(chosen) + (total - i) <= best["value"]:
+    def walk(i, base):
+        nonlocal best, best_edges
+        c = len(chosen)
+        if c + total - i <= best:
             return
         if i == total:
-            best["value"] = len(chosen)
-            best["edges"] = tuple(chosen)
+            best, best_edges = c, tuple(chosen)
             return
         e = candidates[i]
+        a, b = e
+        if best >= 0:
+            bounds = row_bounds[a]
+            if bounds is None:
+                bounds = row_bounds[a] = (
+                    _suffix_value(flavor, n - a, m, pattern),
+                    _suffix_value(flavor, n - a + 1, m, pattern) if a > 1 else total)
+            if c + width - b + 1 + bounds[0] <= best or base + bounds[1] <= best:
+                return
+        row_ends = b == width
         H.add_edge(e)
         if not uses_edge(P, H, e):
             chosen.append(e)
-            walk(i + 1)
+            walk(i + 1, c + 1 if row_ends else base)
             chosen.pop()
         H.remove_edge(e)
-        walk(i + 1)
+        walk(i + 1, c if row_ends else base)
 
-    walk(0)
-    return best["value"], best["edges"]
+    walk(0, 0)
+    return best, best_edges
+
+
+@lru_cache(maxsize=4096)
+def _suffix_value(flavor, k, m, pattern):
+    """Exact maximum on k rows (k x m bipartite) or k vertices.
+
+    Fewer rows or vertices than the pattern's first part cannot hold a
+    copy, so every cell counts; otherwise ``_search`` solves the smaller
+    instance, itself pruned by smaller values from this table.
+    """
+    if k < pattern.n_u:
+        return k * m if flavor == BIPARTITE else k * (k - 1) // 2
+    return _search(flavor, k, m, pattern)[0]
 
 
 def count_avoiders(n: int, pattern: PatternGraph,

@@ -14,6 +14,8 @@ from ordex.cli import build_parser, dispatch
 from ordex.formats import parse_graph, serialize_graph
 from ordex.catalog import sailboat, keszegh_h
 
+from strategies import graphs_of
+
 
 def run(argv):
     out = io.StringIO()
@@ -259,6 +261,16 @@ def test_construct_ckfree_seeded():
                           "--seed", "7"])
     assert code1 == code2 == 0
     assert p1 == p2
+
+
+def test_construct_pow_refuses_a_seed():
+    # pow is deterministic: a seed would be echoed while changing nothing.
+    code, payload = run_json(["construct", "--family", "pow:2:ordered", "--n", "8",
+                              "--seed", "5"])
+    assert code == 1 and payload["kind"] == "usage"
+    assert "seed" in payload["error"]
+    code, payload = run_json(["construct", "--family", "pow:2:ordered", "--n", "8"])
+    assert code == 0 and "seed" not in payload
 
 
 def test_verify_subcommand(tmp_path):
@@ -514,3 +526,67 @@ def test_every_argv_keeps_the_exit_contract(argv_dir, argv):
         DIAGNOSTIC.validate(json.loads(text))
     elif code == 0 and fmt == "json" and argv[0] != "gen":
         json.loads(text)
+
+
+# ---------------------------------------------------------------------------
+# Property: every graph text stays inside the exit-code contract.
+# ---------------------------------------------------------------------------
+
+_size = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "x", "2.5", ""])
+_header = st.one_of(
+    st.builds(lambda kind, sizes: " ".join([kind, *sizes]),
+              st.sampled_from(["ordered", "bipartite", "cyclic", "matrix", "MATRIX",
+                               "Ordered", "graph", "1"]),
+              st.lists(_size, max_size=3)),
+    st.sampled_from(["ordered 4", "bipartite 2 3", "cyclic 5", "matrix 2 2"]))
+_index = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "x", "01"])
+_body_line = st.one_of(
+    st.builds(lambda a, b: f"{a} {b}", _index, _index),
+    st.builds(lambda a, b, gap: f"{a}{gap}{b}", _index, _index,
+              st.sampled_from(["  ", "\t", " \t "])),
+    st.sampled_from(["# a comment", "", "   ", "@", "1 2 3", "1", "1 2 # tail",
+                     "ordered 3", "\t1\t2"]),
+    st.text(alphabet="012x", max_size=4))
+_junk_text = st.builds(
+    lambda lead, header, body, end: "\n".join([*lead, header, *body]) + end,
+    st.lists(st.sampled_from(["", "# leading comment", "  "]), max_size=2),
+    _header, st.lists(_body_line, max_size=6), st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def _wellformed_text(draw):
+    """A serialized or matrix-encoded small graph with comments and blanks spliced in."""
+    g = draw(st.sampled_from(["ordered", "bipartite", "cyclic"]).flatmap(
+        lambda f: graphs_of(f, max_n=5, max_edges=6)))
+    if g.flavor == "bipartite" and draw(st.booleans()):
+        cells = set(g.edges)
+        lines = [f"matrix {g.n_u} {g.n_v}"] + [
+            "".join("1" if (u, v) in cells else "0" for v in range(1, g.n_v + 1))
+            for u in range(1, g.n_u + 1)]
+    else:
+        lines = serialize_graph(g).splitlines()
+    noise = st.sampled_from(["# comment", "", "  ", "\t# indented"])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    return "\n".join(lines) + "\n"
+
+
+GRAPH_TEXT = _wellformed_text() | _junk_text
+
+
+@given(GRAPH_TEXT, GRAPH_TEXT, st.sampled_from(["verify", "contains", "chromatic"]))
+@settings(max_examples=300, deadline=None)
+def test_every_graph_text_keeps_the_exit_contract(argv_dir, first, second, command):
+    (argv_dir / "first.g").write_text(first, encoding="utf-8", newline="")
+    (argv_dir / "second.g").write_text(second, encoding="utf-8", newline="")
+    first_file, second_file = str(argv_dir / "first.g"), str(argv_dir / "second.g")
+    argv = {"verify": ["verify", "--graph", first_file, "--pattern", second_file],
+            "contains": ["contains", "--host", first_file, "--pattern", second_file,
+                         "--witness"],
+            "chromatic": ["chromatic", first_file]}[command]
+    code, text = run(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(text)
+    elif code == 1:
+        DIAGNOSTIC.validate(json.loads(text))

@@ -1,7 +1,11 @@
 """Exact solver against brute force, plus the counting routines."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,8 @@ from hypothesis import strategies as st
 
 from ordex.catalog import permutation_matching
 from ordex.containment import contains
-from ordex.graphs import (GraphValueError, bipartite_graph, cyclic_graph,
-                          ordered_graph)
+from ordex.graphs import (GraphValueError, PatternGraph, bipartite_graph,
+                          cyclic_graph, ordered_graph)
 from ordex.solver import (SizeCapError, SolverCaps, count_avoiders,
                           count_avoiding_permutations, growth_table,
                           max_edges_avoiding)
@@ -192,16 +196,69 @@ CYCLIC_PATTERNS = {
     "crossing": cyclic_graph(4, [(1, 3), (2, 4)]),
     "C4": cyclic_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
 }
+ORDERED_PATTERNS = {
+    "hook": ordered_graph(4, [(1, 3), (1, 4), (2, 4)]),
+    "crossing": ordered_graph(4, [(1, 3), (2, 4)]),
+    "path": ordered_graph(3, [(1, 2), (2, 3)]),
+}
+BIPARTITE_PATTERNS = {
+    "11/01": bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 2)]),
+    "12": permutation_matching([1, 2]),
+    "132": permutation_matching([1, 3, 2]),
+}
+
+
+def _assert_value_and_least_witness(flavor, n, m, pattern):
+    """The solver's value is brute force's, and its witness is the first
+    avoiding host in itertools.combinations order of that size."""
+    rec = max_edges_avoiding(flavor, n, pattern, m=m)
+    value = brute_force_max_edges(flavor, n, m or 0, pattern, _oracle_contains)
+    if flavor == "bipartite":
+        cells = [(u, v) for u in range(1, n + 1) for v in range(1, m + 1)]
+    else:
+        cells = list(itertools.combinations(range(1, n + 1), 2))
+    least = next(combo for combo in itertools.combinations(cells, value)
+                 if _oracle_contains(PatternGraph(flavor, n, m or 0, combo),
+                                     pattern) is None)
+    assert rec.value == value
+    assert rec.witness.edges == least
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("name", sorted(CYCLIC_PATTERNS))
 def test_cyclic_value_and_least_witness_match_brute_force(name, n):
-    pattern = CYCLIC_PATTERNS[name]
-    rec = max_edges_avoiding("cyclic", n, pattern)
-    value = brute_force_max_edges("cyclic", n, 0, pattern, _oracle_contains)
-    cells = list(itertools.combinations(range(1, n + 1), 2))
-    least = next(combo for combo in itertools.combinations(cells, value)
-                 if _oracle_contains(cyclic_graph(n, combo), pattern) is None)
-    assert rec.value == value
-    assert rec.witness.edges == least
+    _assert_value_and_least_witness("cyclic", n, None, CYCLIC_PATTERNS[name])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", sorted(ORDERED_PATTERNS))
+def test_ordered_value_and_least_witness_match_brute_force(name, n):
+    _assert_value_and_least_witness("ordered", n, None, ORDERED_PATTERNS[name])
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize("name", sorted(BIPARTITE_PATTERNS))
+def test_bipartite_value_and_least_witness_match_brute_force(name, n, m):
+    _assert_value_and_least_witness("bipartite", n, m, BIPARTITE_PATTERNS[name])
+
+
+def test_ordered_hook_values_are_frozen():
+    # Exact values computed once and frozen; n=9 is sub-second only
+    # with the suffix bound, so this also guards its speed.
+    hook = ORDERED_PATTERNS["hook"]
+    for n, expected in ((7, 14), (8, 17), (9, 21)):
+        assert max_edges_avoiding("ordered", n, hook).value == expected
+
+
+def test_solver_digest_is_pinned():
+    """Values and witnesses of max_edges_avoiding on the
+    scripts/solver_digest.py corpus are byte-identical to the pinned
+    digest."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "solver_digest.py")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split()[-1] == (
+        "eb82f3c116f1a7df934afbf186c92dfeb46806df75b57ec88c3a65e98ff4321c")
