@@ -13,13 +13,8 @@ sorted, so parse(serialize(g)) == g holds bit-exactly.
 
 from __future__ import annotations
 
-import re
-
 from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
                      bipartite_graph, cyclic_graph, ordered_graph)
-
-
-_TOKEN = re.compile(r"\S+")
 
 
 class GraphTextError(ValueError):
@@ -33,22 +28,18 @@ class GraphTextError(ValueError):
 
 
 def _tokenize(text: str):
-    """Significant (line_no, [(token, column), ...]) rows, comments stripped.
-
-    Each line is scanned once: a line as ``serialize_graph`` writes it
-    (an edge's two tokens split by one space, or one matrix row) takes its
-    columns from the token lengths, and any other line from one regex pass.
-    """
+    """Significant (line_no, [(token, column), ...]) rows, comments stripped."""
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if len(tokens) == 2 and len(tokens[0]) + len(tokens[1]) + 1 == len(body):
-            rows.append((line_no, [(tokens[0], 1), (tokens[1], len(tokens[0]) + 2)]))
-        elif len(tokens) == 1 and len(tokens[0]) == len(body):
-            rows.append((line_no, [(tokens[0], 1)]))
-        elif tokens:
-            rows.append((line_no, [(m[0], m.start() + 1) for m in _TOKEN.finditer(body)]))
+        tokens = []
+        col = 0
+        for tok in body.split():
+            col = body.index(tok, col)
+            tokens.append((tok, col + 1))
+            col += len(tok)
+        if tokens:
+            rows.append((line_no, tokens))
     return rows
 
 

@@ -14,13 +14,13 @@ Hajnal (1992) cap a branch at candidate (a, b): every sub-host of an
 avoiding host avoids the pattern, so the cells after row a hold at
 most ex(n-a) edges, and rows a..n, with the edges row a already has,
 hold at most ex(n-a+1).  The ex values of smaller instances come from
-the same search, memoised per (flavor, size, m, pattern).  Every bound
-holds for every leaf below the branch and a cut needs it to be no
-better than the best so far, so the first leaf of the include-first
-walk that reaches the optimum is never cut.  Because subsets are
-visited in lexicographic order, the witness kept for the optimum is
-the lexicographically least one, and values and witnesses are
-reproducible run to run.
+the same search, memoised per (flavor, size, m, pattern) for
+top-level solves and sub-searches alike.  Every bound holds for every
+leaf below the branch and a cut needs it to be no better than the best
+so far, so the first leaf of the include-first walk that reaches the
+optimum is never cut.  Because subsets are visited in lexicographic
+order, the witness kept for the optimum is the lexicographically least
+one, and values and witnesses are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
     return ExtremalRecord(flavor, pattern, n, m, value, witness)
 
 
+@lru_cache(maxsize=4096)
 def _search(flavor, n, m, pattern):
     """Include-first DFS with incremental containment checks.
 
@@ -115,6 +116,10 @@ def _search(flavor, n, m, pattern):
     upper bounds on every leaf below, so the first include-first leaf
     reaching the optimum is never cut and the witness stays the
     lexicographically least.
+
+    Results are memoised per (flavor, n, m, pattern) and shared between
+    top-level solves and the sub-searches behind the suffix bounds, so a
+    growth table ascending n solves each size once.
     """
     candidates = _candidate_edges(flavor, n, m)
     total = len(candidates)
@@ -160,13 +165,12 @@ def _search(flavor, n, m, pattern):
     return best, best_edges
 
 
-@lru_cache(maxsize=4096)
 def _suffix_value(flavor, k, m, pattern):
     """Exact maximum on k rows (k x m bipartite) or k vertices.
 
     Fewer rows or vertices than the pattern's first part cannot hold a
-    copy, so every cell counts; otherwise ``_search`` solves the smaller
-    instance, itself pruned by smaller values from this table.
+    copy, so every cell counts; otherwise the memoised ``_search`` solves
+    the smaller instance, itself pruned by smaller values.
     """
     if k < pattern.n_u:
         return k * m if flavor == BIPARTITE else k * (k - 1) // 2

@@ -243,8 +243,8 @@ def test_bipartite_value_and_least_witness_match_brute_force(name, n, m):
 
 
 def test_ordered_hook_values_are_frozen():
-    # Exact values computed once and frozen; n=9 is sub-second only
-    # with the suffix bound, so this also guards its speed.
+    # Exact values computed once and frozen; n=9 fits in tier-1 only
+    # because the suffix bound makes it sub-second.
     hook = ORDERED_PATTERNS["hook"]
     for n, expected in ((7, 14), (8, 17), (9, 21)):
         assert max_edges_avoiding("ordered", n, hook).value == expected
