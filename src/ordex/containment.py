@@ -8,14 +8,18 @@ pattern neighbors, plus the most recently placed vertex of each part
 same boundary images are interchangeable, so the search runs as a
 layered dynamic program over deduplicated boundary states instead of a
 tree.  On top of deduplication, a boundary vertex kept only for its
-window role is a monotone coordinate (smaller images allow strictly
-more completions), so each layer is reduced to its Pareto-minimal
-states.  This keeps avoidance proofs on large structured hosts cheap,
-where plain backtracking revisits equivalent partial maps
-exponentially often.  The host is one int bitmask of neighbors per
-vertex, so a state's candidates are its window ANDed with the host
-neighborhoods of its placed pattern neighbors, and the exact solver's
-edge edits are a few bit operations.
+window role is a pure coordinate: it is monotone (smaller images allow
+strictly more completions), so a layer of more than REDUCE_ABOVE states
+is cut to its Pareto-minimal states.  This keeps avoidance proofs on
+large structured hosts cheap, where plain backtracking revisits
+equivalent partial maps exponentially often.  The host is one int
+bitmask of neighbors per vertex, so a state's candidates are its window
+ANDed with the host neighborhoods of its placed pattern neighbors, and
+the exact solver's edge edits are a few bit operations.  A step whose
+placed vertex is itself pure leaves each parent only its least
+candidate after the cut, so a large layer is expanded by least images,
+once per parent, with the same states, order and parents as the plain
+walk followed by the cut (see ``find_embedding``).
 
 Cyclic containment is the same search run in windows.  An injection
 preserves the cyclic order exactly when some rotation of the host
@@ -34,6 +38,13 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .graphs import BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph
+
+
+# A layer of more DP states than this is cut to its Pareto-minimal
+# states.  Part of the witness contract: which states a layer keeps
+# decides which embedding is found first, so changing the threshold
+# changes witnesses.
+REDUCE_ABOVE = 64
 
 
 class FlavorMismatchError(ValueError):
@@ -71,13 +82,16 @@ class PatternIndex:
     step of that order is compiled once into a plan tuple holding
     everything the searcher needs about it: the part, where the window
     anchor and the placed neighbors sit in the previous boundary tuple,
-    how to project the previous boundary onto the next one, the degree
-    the image needs, the Pareto-reducible coordinates and the offset of
-    the upper window bound from the end of the host part.
+    how to project the previous boundary onto the next one (before and
+    after the placed vertex, and both together), the degree the image
+    needs, the Pareto-reducible coordinates, whether the placed vertex
+    is one of them and the offset of the upper window bound from the end
+    of the host part.  ``self_pos[t]`` is where step t's placed vertex
+    sits in the boundary after it.
     """
 
     __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "edge_ids",
-                 "order", "plan", "_seed_plans")
+                 "order", "plan", "self_pos", "_seed_plans")
 
     def __init__(self, pattern: PatternGraph):
         pu = pattern.n_u
@@ -163,6 +177,7 @@ class PatternIndex:
         order.reverse()
         self.order = order
         self.plan = []
+        self.self_pos = []
         placed = set()
         old_boundary = ()
         lasts = [None, None]
@@ -195,11 +210,14 @@ class PatternIndex:
                 old_pos[prev_same] if prev_same is not None else None,
                 _tuple_getter(kept[:self_pos]),
                 _tuple_getter(kept[self_pos:]),
+                _tuple_getter(kept),
                 pending,
                 self.deg[p],
                 pure,
+                self_pos in pure,
                 self.part_count[pt] - self.idx[p],
             ))
+            self.self_pos.append(self_pos)
             old_boundary = boundary
         self._seed_plans = {}
 
@@ -300,44 +318,55 @@ class HostIndex:
             deg[b + n] += step
 
 
-def find_embedding(P: PatternIndex, H: HostIndex, seeds=(),
+def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
                    base: int = 0) -> list[int] | None:
     """Run the layered search in the window after ``base`` (one of
     ``H.bases``); returns flat images (vertex id -> host) or None.
 
     Only host vertices base+1..base+size of each part are used; images
-    and ``seeds`` are index labels, past n in a rotated cyclic window.
-    A state's candidates for the next vertex are one bitmask: the step's
-    pool (the window up to the vertex's upper bound) with the bits below
-    the window anchor cleared, ANDed with the host neighborhood of each
+    are index labels, past n in a rotated cyclic window.  A state's
+    candidates for the next vertex are one bitmask: the step's pool (the
+    window up to the vertex's upper bound) with the bits below the
+    window anchor cleared, ANDed with the host neighborhood of each
     placed pattern neighbor.  Its set bits are walked in ascending order
-    and kept if their degree is high enough.
+    and kept if their degree is high enough.  A layer of more than
+    REDUCE_ABOVE states is cut to its Pareto-minimal states.
 
-    ``seeds`` force specific images, used by the exact solver to look
-    only for embeddings through a just-added host edge.  The forced
-    images narrow the pool: a forced vertex's pool is its image alone,
-    a vertex of the same part ``gap`` indices before a forced one must
-    sit at least ``gap`` below its image, and a pattern neighbor of a
-    forced vertex must be a host neighbor of its image.  These rules
-    drop only states with no completion, so whether an embedding exists
-    is unchanged.  Deterministic: layers are expanded in insertion
-    order and candidates ascend, so the first witness found is always
-    the same, and moving the window shifts every state without
-    reordering any.
+    When the placed vertex is itself a pure coordinate, every state one
+    parent produces has that parent's projection and differs only in the
+    image, so the cut keeps at most the parent's least candidate.  Such
+    a step, from a layer of more than REDUCE_ABOVE states, is expanded
+    once per parent: per projection class it keeps the least candidate,
+    the first parent giving it and the union of the candidate masks (the
+    pool is ANDed with the step's degree mask, so the masks are exact).
+    If the unions show the plain layer would be cut, one state per class
+    is emitted in first-appearance order, which is what the cut keeps;
+    otherwise the layer is rebuilt by the plain walk.  Either way the
+    layer, its order and every parent are those of the plain walk.
+
+    ``forced`` lists pattern vertex ids whose images are forced to the
+    host labels ``images``, used by the exact solver to look only for
+    embeddings through a just-added host edge.  The forced images narrow
+    the pool: a forced vertex's pool is its image alone, a vertex of the
+    same part ``gap`` indices before a forced one must sit at least
+    ``gap`` below its image, and a pattern neighbor of a forced vertex
+    must be a host neighbor of its image.  These rules drop only states
+    with no completion, so whether an embedding exists is unchanged.
+    Deterministic: layers are expanded in insertion order and candidates
+    ascend, so the first witness found is always the same, and moving
+    the window shifts every state without reordering any.
     """
     part_count = P.part_count
     sizes = H.sizes
     if part_count[0] > sizes[0] or part_count[1] > sizes[1]:
         return None
-    forced = dict(seeds)
-    images = tuple(forced.values())
     adj = H.adj
 
-    # states: boundary image tuple -> (parent key, host vertex placed)
-    states = {(): (None, None)}
+    # states: boundary image tuple -> the parent state's key
+    states = {(): None}
     trail = []
-    for (pt, prev_pos, get_head, get_tail, pending_pos, need_deg, pure,
-         hi_off, slot, caps, later) in P.seed_plan(tuple(forced)):
+    for (pt, prev_pos, get_head, get_tail, get_rest, pending_pos, need_deg, pure,
+         self_pure, hi_off, slot, caps, later) in P.seed_plan(forced):
         hi_cap = base + sizes[pt] - hi_off
         for s, gap in caps:
             if images[s] - gap < hi_cap:
@@ -354,38 +383,82 @@ def find_embedding(P: PatternIndex, H: HostIndex, seeds=(),
         if not pool:
             return None
         degs = H.deg[pt]
-        new_states = {}
-        for key in states:
-            lo = key[prev_pos] + 1 if prev_pos is not None else 1
-            cand = pool >> lo << lo
-            for qt, qp in pending_pos:
-                cand &= adj[qt][key[qp]]
-            if not cand:
-                continue
-            head = get_head(key)
-            tail = get_tail(key)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                h = low.bit_length() - 1
-                if degs[h] >= need_deg:
-                    new_key = head + (h,) + tail
-                    if new_key not in new_states:
-                        new_states[new_key] = (key, h)
-        if not new_states:
-            return None
-        if pure and len(new_states) > 64:
-            new_states = _pareto_reduce(new_states, pure)
-        trail.append(states)
+        new_states = None
+        if self_pure and len(states) > REDUCE_ABOVE:
+            exact = sum(1 << h for h in range(base + 1, hi_cap + 1)
+                        if degs[h] >= need_deg) & pool
+            new_states = _least_image_layer(states, exact, prev_pos, pending_pos,
+                                            adj, get_head, get_tail, get_rest)
+            if new_states is not None and len(pure) > 1:
+                new_states = _pareto_reduce(new_states, pure)
+        if new_states is None:
+            new_states = {}
+            for key in states:
+                lo = key[prev_pos] + 1 if prev_pos is not None else 1
+                cand = pool >> lo << lo
+                for qt, qp in pending_pos:
+                    cand &= adj[qt][key[qp]]
+                if not cand:
+                    continue
+                head = get_head(key)
+                tail = get_tail(key)
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    h = low.bit_length() - 1
+                    if degs[h] >= need_deg:
+                        new_key = head + (h,) + tail
+                        if new_key not in new_states:
+                            new_states[new_key] = key
+            if not new_states:
+                return None
+            if pure and len(new_states) > REDUCE_ABOVE:
+                new_states = _pareto_reduce(new_states, pure)
+        trail.append(new_states)
         states = new_states
 
-    # Walk parents back to recover the embedding.
+    # Walk parents back to recover the embedding: step t placed its
+    # vertex at self_pos[t] of the state it produced.
     img = [0] * P.n
-    key, (parent, h) = next(iter(states.items()))
+    key = next(iter(states))
     for t in range(len(P.order) - 1, -1, -1):
-        img[P.order[t]] = h
-        parent, h = trail[t][parent] if t else (None, None)
+        img[P.order[t]] = key[P.self_pos[t]]
+        key = trail[t][key]
     return img
+
+
+def _least_image_layer(states, pool, prev_pos, pending_pos, adj,
+                       get_head, get_tail, get_rest):
+    """The Pareto-cut layer of a step placing a pure coordinate, or None
+    if the plain layer would hold at most REDUCE_ABOVE states.
+
+    ``pool`` must already exclude images of too low degree.  Classes are
+    keyed by the parent's projection; each holds the least candidate
+    bit, the first parent giving it and the union of candidate masks,
+    whose popcounts sum to the plain layer's size.
+    """
+    classes = {}
+    for key in states:
+        lo = key[prev_pos] + 1 if prev_pos is not None else 1
+        cand = pool >> lo << lo
+        for qt, qp in pending_pos:
+            cand &= adj[qt][key[qp]]
+        if not cand:
+            continue
+        low = cand & -cand
+        rest = get_rest(key)
+        cls = classes.get(rest)
+        if cls is None:
+            classes[rest] = [low, key, cand]
+        else:
+            if low < cls[0]:
+                cls[0] = low
+                cls[1] = key
+            cls[2] |= cand
+    if sum(cls[2].bit_count() for cls in classes.values()) <= REDUCE_ABOVE:
+        return None
+    return {get_head(parent) + (low.bit_length() - 1,) + get_tail(parent): parent
+            for low, parent, _ in classes.values()}
 
 
 def _tuple_getter(indices):
@@ -401,8 +474,6 @@ def _tuple_getter(indices):
 def _pareto_reduce(states: dict, pure: list) -> dict:
     """Keep only states whose pure coordinates are Pareto-minimal within
     each class of equal non-pure coordinates."""
-    if not pure:
-        return states
     width = len(next(iter(states)))
     if len(pure) == 1:
         # Single monotone coordinate: one pass keeping the least value
@@ -496,7 +567,7 @@ def uses_edge(P: PatternIndex, H: HostIndex, edge: tuple[int, int]) -> bool:
         while a <= base:
             a, b = b, a + n
         for x, y in P.edge_ids:
-            if find_embedding(P, H, ((x, a), (y, b)), base) is not None:
+            if find_embedding(P, H, (x, y), (a, b), base) is not None:
                 return True
     return False
 

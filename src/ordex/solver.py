@@ -87,6 +87,8 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
         if n > cap:
             raise SizeCapError(f"size cap exceeded: {n} over {flavor} cap {cap}")
         m = 0
+    if n < 0 or m < 0:
+        raise GraphValueError("negative part size")
 
     value, edges = _search(flavor, n, m, pattern)
     witness = PatternGraph(flavor, n, m, tuple(edges))

@@ -284,3 +284,25 @@ def test_contains_witness_is_pinned(case):
     emb = contains(host, pattern)
     assert emb is not None and embedding_is_valid(host, pattern, emb)
     assert emb.as_dict() == WITNESSES[case]
+
+
+def test_contains_digest_is_pinned():
+    """``contains`` on the scripts/contains_digest.py corpus (planted hosts
+    of every flavor, the doubling, tripling and C4-free avoiding hosts)
+    returns byte-identical results to the pinned digest.  The corpus is
+    large enough that steps placing a pure coordinate take both the
+    least-image layer and the plain fallback, with one and with several
+    pure coordinates."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "contains_digest.py")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split()[-1] == (
+        "f25b2071dfcc73e5ee1738b92cf663b964ab8d0d5b9e23d07554fb50880cfc5e")

@@ -96,6 +96,22 @@ def test_count_avoiders_refuses_negative_size():
     assert count_avoiders(0, pat) == 1  # the empty host
 
 
+@pytest.mark.parametrize("flavor, n, m", [("ordered", -1, None), ("cyclic", -2, None),
+                                          ("bipartite", -1, 2), ("bipartite", 2, -1)])
+def test_negative_sizes_refused_before_search(flavor, n, m):
+    """A negative size is refused before the memoised search runs, so no
+    junk entry lands in its cache."""
+    from ordex.solver import _search
+
+    pattern = {"ordered": ordered_graph(4, [(1, 3), (1, 4), (2, 4)]),
+               "cyclic": cyclic_graph(4, [(1, 3), (2, 4)]),
+               "bipartite": permutation_matching([1, 2])}[flavor]
+    before = _search.cache_info().currsize
+    with pytest.raises(GraphValueError, match="negative part size"):
+        max_edges_avoiding(flavor, n, pattern, m=m)
+    assert _search.cache_info().currsize == before
+
+
 def test_solver_matches_oracle_randomized():
     rng = random.Random(4242)
     flavors = ["ordered", "bipartite", "cyclic"]
