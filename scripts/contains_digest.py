@@ -11,7 +11,11 @@ and seeded C4-free hosts against the ordered 4-cycles, so the search
 exhausts every layer.  For each query it records one JSON line
 [label, ``contains(host, pattern)`` as ``as_dict()`` or null] and prints
 the SHA-256 of those lines.  Two checkouts whose digests match return
-byte-identical witnesses on the corpus:
+byte-identical witnesses on the corpus.  Before digesting it checks
+what it hashes: every embedding must pass ``embedding_is_valid``,
+every avoiding host must give null and every planted host an
+embedding; otherwise it names the failing queries on stderr and exits 1
+without a digest:
 
     PYTHONPATH=src python3 scripts/contains_digest.py [--seed 7] [--lines out.jsonl]
 """
@@ -21,11 +25,12 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 from ordex.catalog import keszegh_h, sailboat
 from ordex.constructions import power_distance_graph, random_ck_free
-from ordex.containment import contains
+from ordex.containment import contains, embedding_is_valid
 from ordex.graphs import bipartite_graph, cyclic_graph, ordered_graph
 
 HOOK = [(1, 3), (1, 4), (2, 4)]
@@ -72,18 +77,20 @@ def planted_host(rng, pattern, n, p):
 
 
 def queries(seed):
+    """(label, host, pattern, whether the host avoids the pattern)."""
     rng = random.Random(seed)
     for label, pattern, n in PLANTED:
         for p in DENSITIES:
             for i in range(HOSTS_PER_KIND):
                 yield (f"{label} n={n} p={p} #{i}", planted_host(rng, pattern, n, p),
-                       pattern)
-    yield from POWER
+                       pattern, False)
+    for label, host, pattern in POWER:
+        yield label, host, pattern, True
     for _ in range(CKFREE_HOSTS):
         host_seed = rng.randrange(2 ** 31)
         host = random_ck_free(CKFREE_N, 4, host_seed)
         for i, c in enumerate(ORDERED_C4):
-            yield f"ckfree:4 n={CKFREE_N} seed={host_seed} vs C4#{i}", host, c
+            yield f"ckfree:4 n={CKFREE_N} seed={host_seed} vs C4#{i}", host, c, True
 
 
 def main():
@@ -92,9 +99,16 @@ def main():
     ap.add_argument("--lines", help="also write the JSON lines to this file")
     args = ap.parse_args()
     lines = []
-    for label, host, pattern in queries(args.seed):
+    failures = []
+    for label, host, pattern, avoids in queries(args.seed):
         emb = contains(host, pattern)
+        if (emb is None) != avoids:
+            failures.append(f"{label}: expected {'null' if avoids else 'an embedding'}")
+        elif emb is not None and not embedding_is_valid(host, pattern, emb):
+            failures.append(f"{label}: invalid embedding {emb.as_dict()}")
         lines.append(json.dumps([label, emb.as_dict() if emb else None]) + "\n")
+    if failures:
+        sys.exit("\n".join(failures))
     text = "".join(lines)
     if args.lines:
         Path(args.lines).write_text(text, encoding="utf-8")

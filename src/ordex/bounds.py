@@ -110,9 +110,6 @@ class AsymptoticBound:
     def dominant(self) -> BoundTerm:
         return self.terms[0]
 
-    def sort_key(self):
-        return tuple(t.key() for t in self.terms)
-
     def as_dict(self):
         return {"direction": self.direction,
                 "terms": [t.as_dict() for t in self.terms]}
@@ -568,9 +565,11 @@ def classify_pattern(pattern: PatternGraph) -> Classification:
 
 
 _ORDERED_NONLINEAR_WITNESS = PatternGraph(ORDERED, 4, 0, ((1, 3), (1, 4), (2, 4)))
+# Lower bounds try H_1 up to H_<this> of the non-linear bipartite family.
+_NONLINEAR_FAMILY_MAX = 2
 
 
-def derive_lower_bound(pattern: PatternGraph, h_cap: int = 2) -> BoundResult:
+def derive_lower_bound(pattern: PatternGraph) -> BoundResult:
     """Best lower bound from the known sources, with its witness recorded.
 
     Sources: a cycle of length k in the underlying graph gives
@@ -593,7 +592,7 @@ def derive_lower_bound(pattern: PatternGraph, h_cap: int = 2) -> BoundResult:
                                         f"{k}-cycles")
         candidates.append((term, Derivation((step,), f"cycle:{k}")))
     if pattern.flavor == BIPARTITE:
-        for j in range(1, h_cap + 1):
+        for j in range(1, _NONLINEAR_FAMILY_MAX + 1):
             family = keszegh_h(j)
             if family.n_edges > pattern.n_edges:
                 break

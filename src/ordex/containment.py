@@ -9,17 +9,16 @@ same boundary images are interchangeable, so the search runs as a
 layered dynamic program over deduplicated boundary states instead of a
 tree.  On top of deduplication, a boundary vertex kept only for its
 window role is a pure coordinate: it is monotone (smaller images allow
-strictly more completions), so a layer of more than REDUCE_ABOVE states
-is cut to its Pareto-minimal states.  This keeps avoidance proofs on
-large structured hosts cheap, where plain backtracking revisits
-equivalent partial maps exponentially often.  The host is one int
-bitmask of neighbors per vertex, so a state's candidates are its window
-ANDed with the host neighborhoods of its placed pattern neighbors, and
-the exact solver's edge edits are a few bit operations.  A step whose
-placed vertex is itself pure leaves each parent only its least
-candidate after the cut, so a large layer is expanded by least images,
-once per parent, with the same states, order and parents as the plain
-walk followed by the cut (see ``find_embedding``).
+strictly more completions), so a step expanding a layer of more than
+REDUCE_ABOVE states keeps only the Pareto-minimal states it produces.
+This keeps avoidance proofs on large structured hosts cheap, where
+plain backtracking revisits equivalent partial maps exponentially
+often.  The host is one int bitmask of neighbors per vertex, so a
+state's candidates are its window ANDed with the host neighborhoods of
+its placed pattern neighbors, and the exact solver's edge edits are a
+few bit operations.  When the placed vertex is itself pure, the cut
+leaves each parent only its least candidate, so such a step expands
+each parent once, by its least image (see ``find_embedding``).
 
 Cyclic containment is the same search run in windows.  An injection
 preserves the cyclic order exactly when some rotation of the host
@@ -40,10 +39,10 @@ from operator import itemgetter
 from .graphs import BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph
 
 
-# A layer of more DP states than this is cut to its Pareto-minimal
-# states.  Part of the witness contract: which states a layer keeps
-# decides which embedding is found first, so changing the threshold
-# changes witnesses.
+# A step expanding a layer of more DP states than this keeps only the
+# Pareto-minimal states it produces.  Part of the witness contract: which
+# states a layer keeps decides which embedding is found first, so
+# changing the threshold changes witnesses.
 REDUCE_ABOVE = 64
 
 
@@ -88,6 +87,11 @@ class PatternIndex:
     is one of them and the offset of the upper window bound from the end
     of the host part.  ``self_pos[t]`` is where step t's placed vertex
     sits in the boundary after it.
+
+    A pure (Pareto-reducible) coordinate has all its pattern neighbors
+    placed, so it stays in the boundary only as the last placed vertex
+    of its part: a step has at most two pure coordinates, and at most
+    one for a single-part pattern.
     """
 
     __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "edge_ids",
@@ -329,20 +333,18 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
     window up to the vertex's upper bound) with the bits below the
     window anchor cleared, ANDed with the host neighborhood of each
     placed pattern neighbor.  Its set bits are walked in ascending order
-    and kept if their degree is high enough.  A layer of more than
-    REDUCE_ABOVE states is cut to its Pareto-minimal states.
+    and kept if their degree is high enough.
 
-    When the placed vertex is itself a pure coordinate, every state one
+    The cut is decided from the layer being expanded: a step whose
+    parent layer holds more than REDUCE_ABOVE states, and whose new
+    boundary has a pure coordinate, keeps only the Pareto-minimal states
+    it produces.  When the placed vertex is itself pure, every state one
     parent produces has that parent's projection and differs only in the
-    image, so the cut keeps at most the parent's least candidate.  Such
-    a step, from a layer of more than REDUCE_ABOVE states, is expanded
-    once per parent: per projection class it keeps the least candidate,
-    the first parent giving it and the union of the candidate masks (the
-    pool is ANDed with the step's degree mask, so the masks are exact).
-    If the unions show the plain layer would be cut, one state per class
-    is emitted in first-appearance order, which is what the cut keeps;
-    otherwise the layer is rebuilt by the plain walk.  Either way the
-    layer, its order and every parent are those of the plain walk.
+    image, so the cut keeps at most the parent's least candidate of high
+    enough degree: the step is expanded once per parent by least images
+    (``_least_image_layer``).  Otherwise the plain walk runs and
+    ``_pareto_reduce`` cuts its layer.  The cut is sound at any layer
+    size, so the threshold decides only which embedding is found first.
 
     ``forced`` lists pattern vertex ids whose images are forced to the
     host labels ``images``, used by the exact solver to look only for
@@ -383,15 +385,12 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
         if not pool:
             return None
         degs = H.deg[pt]
-        new_states = None
-        if self_pure and len(states) > REDUCE_ABOVE:
-            exact = sum(1 << h for h in range(base + 1, hi_cap + 1)
-                        if degs[h] >= need_deg) & pool
-            new_states = _least_image_layer(states, exact, prev_pos, pending_pos,
-                                            adj, get_head, get_tail, get_rest)
-            if new_states is not None and len(pure) > 1:
-                new_states = _pareto_reduce(new_states, pure)
-        if new_states is None:
+        cut = pure and len(states) > REDUCE_ABOVE
+        if cut and self_pure:
+            new_states = _least_image_layer(states, pool, degs, need_deg, prev_pos,
+                                            pending_pos, adj, get_head, get_tail,
+                                            get_rest)
+        else:
             new_states = {}
             for key in states:
                 lo = key[prev_pos] + 1 if prev_pos is not None else 1
@@ -410,10 +409,12 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
                         new_key = head + (h,) + tail
                         if new_key not in new_states:
                             new_states[new_key] = key
-            if not new_states:
-                return None
-            if pure and len(new_states) > REDUCE_ABOVE:
-                new_states = _pareto_reduce(new_states, pure)
+        if not new_states:
+            return None
+        # A least-image layer is already cut along the placed vertex, so
+        # it needs the Pareto pass only for a second pure coordinate.
+        if cut and (len(pure) > 1 or not self_pure):
+            new_states = _pareto_reduce(new_states, pure)
         trail.append(new_states)
         states = new_states
 
@@ -427,38 +428,33 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
     return img
 
 
-def _least_image_layer(states, pool, prev_pos, pending_pos, adj,
-                       get_head, get_tail, get_rest):
-    """The Pareto-cut layer of a step placing a pure coordinate, or None
-    if the plain layer would hold at most REDUCE_ABOVE states.
+def _least_image_layer(states, pool, degs, need_deg, prev_pos, pending_pos,
+                       adj, get_head, get_tail, get_rest):
+    """The Pareto-cut layer of a step placing a pure coordinate.
 
-    ``pool`` must already exclude images of too low degree.  Classes are
-    keyed by the parent's projection; each holds the least candidate
-    bit, the first parent giving it and the union of candidate masks,
-    whose popcounts sum to the plain layer's size.
+    Every state one parent produces has that parent's projection
+    ``get_rest(key)`` and differs only in the image, so per projection
+    class the cut keeps the least candidate of high enough degree, with
+    the first parent giving it, in the order the classes first appear.
     """
-    classes = {}
+    best = {}
     for key in states:
         lo = key[prev_pos] + 1 if prev_pos is not None else 1
         cand = pool >> lo << lo
         for qt, qp in pending_pos:
             cand &= adj[qt][key[qp]]
-        if not cand:
-            continue
-        low = cand & -cand
-        rest = get_rest(key)
-        cls = classes.get(rest)
-        if cls is None:
-            classes[rest] = [low, key, cand]
-        else:
-            if low < cls[0]:
-                cls[0] = low
-                cls[1] = key
-            cls[2] |= cand
-    if sum(cls[2].bit_count() for cls in classes.values()) <= REDUCE_ABOVE:
-        return None
-    return {get_head(parent) + (low.bit_length() - 1,) + get_tail(parent): parent
-            for low, parent, _ in classes.values()}
+        while cand:
+            low = cand & -cand
+            h = low.bit_length() - 1
+            if degs[h] >= need_deg:
+                rest = get_rest(key)
+                cur = best.get(rest)
+                if cur is None or h < cur[0]:
+                    best[rest] = (h, key)
+                break
+            cand ^= low
+    return {get_head(parent) + (h,) + get_tail(parent): parent
+            for h, parent in best.values()}
 
 
 def _tuple_getter(indices):
@@ -473,8 +469,13 @@ def _tuple_getter(indices):
 
 def _pareto_reduce(states: dict, pure: list) -> dict:
     """Keep only states whose pure coordinates are Pareto-minimal within
-    each class of equal non-pure coordinates."""
-    width = len(next(iter(states)))
+    each class of equal non-pure coordinates.
+
+    There are at most two pure coordinates (``PatternIndex``), so a class
+    sorted by (first, second) keeps a state exactly when its second
+    coordinate is below that of every state kept before it.  Classes
+    keep the order they first appear in.
+    """
     if len(pure) == 1:
         # Single monotone coordinate: one pass keeping the least value
         # per class, with C-level slicing for the class key.
@@ -487,23 +488,19 @@ def _pareto_reduce(states: dict, pure: list) -> dict:
             if cur is None or key[k0] < cur[k0]:
                 best[rest] = key
         return {key: states[key] for key in best.values()}
-    rest_idx = [k for k in range(width) if k not in pure]
-    get_rest = itemgetter(*rest_idx) if rest_idx else lambda key: ()
-    get_pure = itemgetter(*pure)
+    k0, k1 = pure
     groups = {}
     for key in states:
-        groups.setdefault(get_rest(key), []).append(key)
+        groups.setdefault(key[:k0] + key[k0 + 1:k1] + key[k1 + 1:], []).append(key)
     out = {}
+    by_anchors = itemgetter(k0, k1)
     for keys in groups.values():
-        chosen = []
-        vecs = []
-        for key in sorted(keys, key=get_pure):
-            vec = get_pure(key)
-            if not any(all(c <= v for c, v in zip(ch, vec)) for ch in vecs):
-                chosen.append(key)
-                vecs.append(vec)
-        for key in chosen:
-            out[key] = states[key]
+        keys.sort(key=by_anchors)
+        least = None
+        for key in keys:
+            if least is None or key[k1] < least:
+                least = key[k1]
+                out[key] = states[key]
     return out
 
 
@@ -540,11 +537,12 @@ def embedding_uses_edge(host: PatternGraph, pattern: PatternGraph,
                         edge: tuple[int, int]) -> bool:
     """True if some embedding maps a pattern edge onto the given host edge.
 
-    Used by the exact solver: after adding one edge to a host known to
-    avoid the pattern, containment can only arise through embeddings
-    whose image includes that edge.  The flavors must agree, the pattern
-    must have an edge and ``edge`` must be a host edge; a single-part
-    edge may be given in either order.
+    After adding one edge to a host known to avoid the pattern,
+    containment can only arise through embeddings whose image includes
+    that edge; the exact solver runs the same search through
+    ``uses_edge`` on its own host index.  The flavors must agree, the
+    pattern must have an edge and ``edge`` must be a host edge; a
+    single-part edge may be given in either order.
     """
     _check_pair(host, pattern)
     a, b = edge

@@ -16,6 +16,7 @@ tuple, so equal graphs compare, hash and serialize identically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,7 +79,8 @@ class PatternGraph:
     def has_edge(self, a: int, b: int) -> bool:
         if self.flavor != BIPARTITE and a > b:
             a, b = b, a
-        return (a, b) in set(self.edges)
+        i = bisect_left(self.edges, (a, b))
+        return i < len(self.edges) and self.edges[i] == (a, b)
 
     def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Degree sequences, one tuple per part (second empty unless bipartite)."""

@@ -1,9 +1,10 @@
 """Containment searcher against the exhaustive oracle and fixed cases."""
 
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ordex.catalog import complete_ordered, keszegh_h, sailboat
 from ordex.constructions import power_distance_graph
@@ -64,41 +65,79 @@ def test_cyclic_containment_wraps():
     assert embedding_is_valid(host, pattern, emb)
 
 
-@given(ordered_graphs(max_n=9), ordered_graphs(max_n=5, max_edges=4, min_n=1))
+def _agrees_with_oracle(host, pattern):
+    if not pattern.edges:
+        return
+    emb = contains(host, pattern)
+    ref = brute_force_embedding(host, pattern)
+    assert (emb is None) == (ref is None)
+    if emb is not None:
+        assert embedding_is_valid(host, pattern, emb)
+
+
+def _agrees_with_oracle_cutting_every_layer(host, pattern):
+    """Hosts this small never fill a layer past REDUCE_ABOVE, so the
+    threshold is lowered to 0: every layer with a pure coordinate is then
+    cut, by least images or by the Pareto pass."""
+    with patch("ordex.containment.REDUCE_ABOVE", 0):
+        _agrees_with_oracle(host, pattern)
+
+
+ORDERED_PAIRS = (ordered_graphs(max_n=9),
+                 ordered_graphs(max_n=5, max_edges=4, min_n=1))
+BIPARTITE_PAIRS = (bipartite_graphs_(max_n=7, max_m=7),
+                   bipartite_graphs_(max_n=4, max_m=4, max_edges=4))
+CYCLIC_PAIRS = (cyclic_graphs(max_n=8), cyclic_graphs(max_n=5, max_edges=4, min_n=1))
+
+
+@given(*ORDERED_PAIRS)
 @settings(max_examples=250, deadline=None)
 def test_oracle_agreement_ordered(host, pattern):
-    if not pattern.edges:
-        return
-    emb = contains(host, pattern)
-    ref = brute_force_embedding(host, pattern)
-    assert (emb is None) == (ref is None)
-    if emb is not None:
-        assert embedding_is_valid(host, pattern, emb)
+    _agrees_with_oracle(host, pattern)
 
 
-@given(bipartite_graphs_(max_n=7, max_m=7),
-       bipartite_graphs_(max_n=4, max_m=4, max_edges=4))
+@given(*BIPARTITE_PAIRS)
 @settings(max_examples=250, deadline=None)
 def test_oracle_agreement_bipartite(host, pattern):
-    if not pattern.edges:
-        return
-    emb = contains(host, pattern)
-    ref = brute_force_embedding(host, pattern)
-    assert (emb is None) == (ref is None)
-    if emb is not None:
-        assert embedding_is_valid(host, pattern, emb)
+    _agrees_with_oracle(host, pattern)
 
 
-@given(cyclic_graphs(max_n=8), cyclic_graphs(max_n=5, max_edges=4, min_n=1))
+@given(*CYCLIC_PAIRS)
 @settings(max_examples=150, deadline=None)
 def test_oracle_agreement_cyclic(host, pattern):
-    if not pattern.edges:
-        return
-    emb = contains(host, pattern)
-    ref = brute_force_embedding(host, pattern)
-    assert (emb is None) == (ref is None)
-    if emb is not None:
-        assert embedding_is_valid(host, pattern, emb)
+    _agrees_with_oracle(host, pattern)
+
+
+@given(*ORDERED_PAIRS)
+# A host whose only embedding runs through the least image of its class,
+# not through a larger one.
+@example(ordered_graph(8, [(1, 4), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6), (3, 6),
+                             (3, 7), (4, 6), (4, 7), (5, 8), (6, 8)]),
+         ordered_graph(4, [(1, 2), (3, 4)]))
+@settings(max_examples=200, deadline=None)
+def test_oracle_agreement_ordered_cut_everywhere(host, pattern):
+    _agrees_with_oracle_cutting_every_layer(host, pattern)
+
+
+@given(*BIPARTITE_PAIRS)
+# A host whose only embedding runs through a state that is Pareto-minimal
+# in both pure coordinates but not least in the first.
+@example(bipartite_graph(5, 7, [(1, 2), (1, 6), (2, 2), (2, 3), (2, 5), (4, 1),
+                                (4, 2), (4, 3), (4, 6), (5, 4)]),
+         bipartite_graph(4, 3, [(1, 1), (1, 2), (3, 1), (4, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_oracle_agreement_bipartite_cut_everywhere(host, pattern):
+    _agrees_with_oracle_cutting_every_layer(host, pattern)
+
+
+@given(*CYCLIC_PAIRS)
+# A host whose only embedding runs through the least image of its class,
+# not through a larger one.
+@example(cyclic_graph(6, [(1, 3), (1, 5), (1, 6), (2, 6), (5, 6)]),
+         cyclic_graph(5, [(2, 3), (4, 5)]))
+@settings(max_examples=150, deadline=None)
+def test_oracle_agreement_cyclic_cut_everywhere(host, pattern):
+    _agrees_with_oracle_cutting_every_layer(host, pattern)
 
 
 @given(bipartite_graphs_(max_n=6, max_m=6))
@@ -257,12 +296,12 @@ WITNESS_PATTERNS = {
 
 # Recorded once; a change here means the search order changed.
 WITNESSES = {
-    'hook#1': {'u_map': [1, 2, 4, 28]},
-    'hook#2': {'u_map': [1, 4, 26, 30]},
-    'hook#3': {'u_map': [1, 2, 15, 31]},
+    'hook#1': {'u_map': [6, 7, 12, 16]},
+    'hook#2': {'u_map': [5, 11, 18, 21]},
+    'hook#3': {'u_map': [5, 7, 10, 11]},
     'H:1#1': {'u_map': [2, 3, 5, 6, 8, 9, 17], 'v_map': [1, 3, 6, 7, 9, 12, 23]},
     'H:1#2': {'u_map': [2, 6, 7, 8, 10, 14, 23], 'v_map': [1, 5, 13, 16, 19, 20, 21]},
-    'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 15], 'v_map': [4, 6, 8, 9, 19, 20, 24]},
+    'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 12], 'v_map': [4, 6, 8, 10, 19, 20, 24]},
     'sailboat#1': {'u_map': [5, 6, 9], 'v_map': [1, 3, 7, 23]},
     'sailboat#2': {'u_map': [2, 8, 19], 'v_map': [1, 2, 5, 10]},
     'sailboat#3': {'u_map': [7, 12, 17], 'v_map': [12, 13, 20, 23]},
@@ -290,9 +329,8 @@ def test_contains_digest_is_pinned():
     """``contains`` on the scripts/contains_digest.py corpus (planted hosts
     of every flavor, the doubling, tripling and C4-free avoiding hosts)
     returns byte-identical results to the pinned digest.  The corpus is
-    large enough that steps placing a pure coordinate take both the
-    least-image layer and the plain fallback, with one and with several
-    pure coordinates."""
+    large enough that layers are cut both by least images and by the
+    Pareto pass, with one and with two pure coordinates."""
     import os
     import subprocess
     import sys
@@ -305,4 +343,4 @@ def test_contains_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "contains_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "f25b2071dfcc73e5ee1738b92cf663b964ab8d0d5b9e23d07554fb50880cfc5e")
+        "9ddab50a62a920107c828ac4c48bf0e1a21b19fa46e043714cc20fc7cb70ae4f")
