@@ -7,7 +7,8 @@ with ORDEX_CACHE_DIR unset.  The corpus covers every subcommand, every
 ``gen`` and ``construct`` family, each refusal kind (argparse usage,
 ``usage``, ``generator``, ``parse``, ``io`` on read, ``cap``, ``domain``,
 ``flavor``), ``--format text``, ``table --format csv`` and a
-``solve --cache`` miss, exact hit and variant hit.  Each run gives one
+``solve --cache`` miss, exact hit, variant hit and transposed hit on a
+non-square host.  Each run gives one
 JSON line [argv, exit code, stdout] with the temporary directory written
 as ``{tmp}``, and the script prints the SHA-256 of those lines.  Two
 checkouts whose digests match print byte-identical output on the corpus:
@@ -31,6 +32,7 @@ FIXTURES = {
     "m.g": "bipartite 2 2\n1 1\n2 2\n",
     "hookb.g": "bipartite 2 2\n1 1\n1 2\n2 2\n",
     "hookb_rows.g": "bipartite 2 2\n1 2\n2 1\n2 2\n",
+    "hookb_t.g": "bipartite 2 2\n1 1\n2 1\n2 2\n",
     "hook.g": "ordered 4\n1 3\n1 4\n2 4\n",
     "tri.g": "ordered 3\n1 2\n2 3\n1 3\n",
     "cyc.g": "cyclic 4\n1 3\n2 4\n",
@@ -108,6 +110,10 @@ CORPUS = [
     ["solve", "--pattern", "{tmp}/hookb_rows.g", *SOLVE_CACHED],
     ["solve", "--pattern", "{tmp}/hookb_rows.g", *SOLVE_CACHED,
      "--format", "text"],
+    ["solve", "--pattern", "{tmp}/hookb.g", "--flavor", "bipartite", "--n", "2",
+     "--m", "3", "--cache", "{tmp}/cache"],
+    ["solve", "--pattern", "{tmp}/hookb_t.g", "--flavor", "bipartite", "--n", "3",
+     "--m", "2", "--cache", "{tmp}/cache"],
     # count and count-perms
     ["count", "--pattern", "{tmp}/m.g", "--n", "2"],
     ["count", "--pattern", "{tmp}/hookb.g", "--n", "3", "--format", "text"],

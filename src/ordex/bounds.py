@@ -38,10 +38,9 @@ from .catalog import generalized_matching, keszegh_h, sailboat
 from .containment import contains
 from .formats import parse_graph, serialize_graph
 from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
-                     VARIANT_SEQUENCES, apply_variant, bipartite_graph,
-                     canonical_variant, induced_subgraph,
+                     bipartite_graph, canonical_variant, induced_subgraph,
                      interval_chromatic_number, remove_isolated_vertices,
-                     underlying_shortest_cycle)
+                     underlying_shortest_cycle, variants)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -371,14 +370,14 @@ def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
     search would return.
     """
     text = serialize_graph(canon)
-    variants = [(ops, apply_variant(canon, ops)) for ops in VARIANT_SEQUENCES]
+    images = variants(canon)
     best = None
     if canon == _sailboat_canon():
         best = _Candidate(frozenset({BoundTerm(Fraction(1), 0, True)}),
                           (DerivationStep("sailboat_case", text, text,
                                           transform="n * subexponential factor"),),
                           "sailboat")
-    for ops, variant in variants:
+    for ops, variant in images:
         cover = _matching_cover(variant)
         if cover is not None:
             m, pi, matching = cover
@@ -390,7 +389,7 @@ def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
                                           "generalized-matching"))
     if depth <= 0:
         return best
-    for ops, variant in variants:
+    for ops, variant in images:
         for name, rule in _RULES.items():
             for children, params in rule.enumerator(variant):
                 steps, terms, terminals = (), frozenset(), []
@@ -455,8 +454,9 @@ def replay_derivation(pattern: PatternGraph, derivation: Derivation) -> bool:
 
     Checks that the chain starts at the canonical form of the pattern,
     that each step's source was produced earlier, that re-applying the
-    rule with the recorded parameters yields the recorded result, and
-    that base-case steps really satisfy their predicate.
+    rule with the recorded variant and parameters yields the recorded
+    result, and that base-case steps really satisfy their predicate.  A
+    forged step is refused, never raised on.
     """
     if not derivation.steps:
         return False
@@ -472,20 +472,21 @@ def replay_derivation(pattern: PatternGraph, derivation: Derivation) -> bool:
 
 def _replay_step(step: DerivationStep) -> bool:
     source = parse_graph(step.source)
-    variant = apply_variant(source, tuple(step.variant))
     if step.rule == "sailboat_case":
-        return canonical_variant(source) == _sailboat_canon()
+        return (step.result == step.source
+                and canonical_variant(source) == _sailboat_canon())
+    variant = next((image for ops, image in variants(source)
+                    if ops == tuple(step.variant)), None)
+    if variant is None:
+        return False
+    wanted = tuple(step.params)
     if step.rule == "cover_by_matching":
-        m = step.params[0]
-        pi = tuple(step.params[1:])
-        matching = generalized_matching(m, pi, BIPARTITE)
-        if serialize_graph(matching) != step.result:
-            return False
-        return contains(matching, variant) is not None
+        cover = _matching_cover(variant)
+        return (cover is not None and (cover[0],) + tuple(cover[1]) == wanted
+                and serialize_graph(cover[2]) == step.result)
     rule = _RULES.get(step.rule)
     if rule is None:
         return False
-    wanted = tuple(step.params)
     for children, params in rule.enumerator(variant):
         for child, side in zip(children, rule.sides):
             if params + side == wanted:

@@ -3,17 +3,20 @@
 One file per record, keyed by flavor, exact pattern serialization and
 host dimensions, with a schema version baked into both the digest and
 the payload; bumping the version orphans old files rather than
-corrupting them.  A repeated query returns the stored payload bytes
-unchanged.  A file that does not parse, whose payload names another
-schema version, flavor, pattern or size, whose value is not an integer,
-whose witness is not a host of the requested flavor and size with
-``value`` edges that avoids the pattern, or whose bytes are not exactly
-those ``store`` writes for its record, is a miss and is overwritten by
-the fresh solve.  Records are written to a temporary file and moved
-into place, so concurrent writers never tear a file.  Bipartite lookups
-additionally probe the symmetry variants of the pattern: a record
-solved for a variant transfers, with the witness mapped back through
-the inverse symmetry and revalidated.
+corrupting them.  A file that does not parse, whose payload names
+another schema version, flavor, pattern or size, whose value is not an
+integer, whose witness fails ``ExtremalRecord.witness_ok``, or whose
+bytes are not exactly those ``store`` writes for its record, is a miss
+and is overwritten by the fresh solve.  Records are written to a
+temporary file and moved into place, so concurrent writers never tear a
+file.
+
+A lookup probes the symmetry images of the pattern (``graphs.variants``;
+a single-part pattern has only itself) in one loop.  The identity image
+is the exact key, and its stored payload is returned byte for byte.  A
+record stored for another image transfers: the host sizes swap with the
+parts, the witness is pulled back through the inverse symmetry,
+revalidated and stored under the exact key.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from .config import DEFAULT_CAPS, SolverCaps
-from .containment import contains
 from .formats import GraphTextError, parse_graph, serialize_graph
-from .graphs import (BIPARTITE, PatternGraph, VARIANT_SEQUENCES, apply_variant,
-                     invert_variant)
+from .graphs import BIPARTITE, PatternGraph, apply_variant, variants
 from .solver import ExtremalRecord, max_edges_avoiding
 
 SCHEMA_VERSION = 1
@@ -96,47 +97,32 @@ class RecordCache:
             raise
         return raw
 
-    def _variant_hit(self, pattern: PatternGraph, n: int, m: int):
-        """A record for a symmetry variant of the pattern, if stored.
-
-        Returns (record, inverse op sequence) with dimensions already
-        matching the variant's orientation.
-        """
-        for ops in VARIANT_SEQUENCES:
-            if not ops:
-                continue
-            variant = apply_variant(pattern, ops)
-            swapped = ("swap" in ops)
-            vn, vm = (m, n) if swapped else (n, m)
-            raw = self.load_bytes(BIPARTITE, variant, vn, vm)
-            if raw is not None:
-                return (_stored_record(raw, BIPARTITE, variant, vn, vm),
-                        invert_variant(ops))
-        return None
-
     def fetch(self, flavor: str, pattern: PatternGraph, n: int,
               m: int | None = None,
               caps: SolverCaps = DEFAULT_CAPS) -> ExtremalRecord:
         """Cached record, or solve and persist one.
 
-        Exact-key hits reuse the stored payload byte for byte; bipartite
-        variant hits reuse the value, with the witness pulled back
-        through the inverse symmetry and revalidated before use.
+        Probes the images of the pattern in ``graphs.variants`` order.  An
+        exact-key hit returns the stored record, whose bytes are the
+        file's; a hit on another image reuses its value, with the witness
+        pulled back through ``ops[::-1]`` and revalidated before it is
+        stored under the exact key.  A miss on every image solves.
         """
         mm = m if m is not None else 0
-        raw = self.load_bytes(flavor, pattern, n, mm)
-        if raw is not None:
-            return _stored_record(raw, flavor, pattern, n, mm)
-        if flavor == BIPARTITE:
-            hit = self._variant_hit(pattern, n, mm)
-            if hit is not None:
-                rec, inverse = hit
-                witness = apply_variant(rec.witness, inverse)
-                if (witness.n_edges == rec.value
-                        and contains(witness, pattern) is None):
-                    out = ExtremalRecord(flavor, pattern, n, mm, rec.value, witness)
-                    self.store(out)
-                    return out
+        images = variants(pattern) if flavor == BIPARTITE else (((), pattern),)
+        for ops, image in images:
+            vn, vm = (mm, n) if "swap" in ops else (n, mm)
+            raw = self.load_bytes(flavor, image, vn, vm)
+            if raw is None:
+                continue
+            rec = _stored_record(raw, flavor, image, vn, vm)
+            if not ops:
+                return rec
+            out = ExtremalRecord(flavor, pattern, n, mm, rec.value,
+                                 apply_variant(rec.witness, ops[::-1]))
+            if out.witness_ok():
+                self.store(out)
+                return out
         rec = max_edges_avoiding(flavor, n, pattern, m=m, caps=caps)
         self.store(rec)
         return rec
@@ -147,8 +133,8 @@ def _stored_record(raw: bytes, flavor: str, pattern: PatternGraph,
                    n: int, m: int) -> ExtremalRecord | None:
     """The record a file's bytes hold for the key, or None when they do
     not parse, name another schema version or key, hold a witness that
-    is not an n x m host of the flavor with ``value`` edges avoiding the
-    pattern, or are not exactly the bytes ``store`` writes for the record.
+    fails ``witness_ok``, or are not exactly the bytes ``store`` writes
+    for the record.
 
     Memoized, so ``fetch`` rebuilds the record ``load_bytes`` just
     checked for free; exact because the answer is a pure function of the
@@ -172,13 +158,10 @@ def _stored_record(raw: bytes, flavor: str, pattern: PatternGraph,
     value = payload.get("value")
     # true and 1.0 equal 1, so they would pass the edge count and share
     # the memo entry of a record whose value is 1.
-    if (type(value) is not int
-            or (witness.flavor, witness.n_u, witness.n_v) != (flavor, n, m)
-            or witness.n_edges != value
-            or contains(witness, pattern) is not None):
+    if type(value) is not int:
         return None
     rec = ExtremalRecord(flavor, pattern, n, m, value, witness)
-    return rec if record_bytes(rec) == raw else None
+    return rec if rec.witness_ok() and record_bytes(rec) == raw else None
 
 
 def default_cache_dir() -> str | None:

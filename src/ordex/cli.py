@@ -14,8 +14,9 @@ import sys
 from functools import lru_cache
 
 from . import catalog
-from .bounds import (classify_pattern, derive_lower_bound, derive_upper_bound,
-                     lift_bipartite_to_ordered, ordered_to_bipartite)
+from .bounds import (bipartite_to_ordered, classify_pattern, derive_lower_bound,
+                     derive_upper_bound, lift_bipartite_to_ordered,
+                     ordered_to_bipartite)
 from .cache import RecordCache, default_cache_dir, record_bytes, record_payload
 from .constructions import power_distance_graph, random_ck_free, verify_construction
 from .containment import EdgelessPatternError, FlavorMismatchError, contains
@@ -131,7 +132,6 @@ def _cmd_chromatic(args):
         chi = interval_chromatic_number(g)
     else:
         # Two-part graphs read as the concatenation of their parts.
-        from .bounds import bipartite_to_ordered
         chi = interval_chromatic_number(bipartite_to_ordered(g))
     return {"flavor": g.flavor, "chi": chi}
 

@@ -340,8 +340,8 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
     boundary has a pure coordinate, keeps only the Pareto-minimal states
     it produces.  When the placed vertex is itself pure, every state one
     parent produces has that parent's projection and differs only in the
-    image, so the cut keeps at most the parent's least candidate of high
-    enough degree: the step is expanded once per parent by least images
+    image, so the cut keeps at most the parent's least candidate: the
+    step is expanded once per parent by least images
     (``_least_image_layer``).  Otherwise the plain walk runs and
     ``_pareto_reduce`` cuts its layer.  The cut is sound at any layer
     size, so the threshold decides only which embedding is found first.
@@ -387,9 +387,8 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
         degs = H.deg[pt]
         cut = pure and len(states) > REDUCE_ABOVE
         if cut and self_pure:
-            new_states = _least_image_layer(states, pool, degs, need_deg, prev_pos,
-                                            pending_pos, adj, get_head, get_tail,
-                                            get_rest)
+            new_states = _least_image_layer(states, pool, prev_pos, pending_pos,
+                                            adj, get_head, get_tail, get_rest)
         else:
             new_states = {}
             for key in states:
@@ -428,14 +427,17 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
     return img
 
 
-def _least_image_layer(states, pool, degs, need_deg, prev_pos, pending_pos,
-                       adj, get_head, get_tail, get_rest):
+def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_head,
+                       get_tail, get_rest):
     """The Pareto-cut layer of a step placing a pure coordinate.
 
     Every state one parent produces has that parent's projection
     ``get_rest(key)`` and differs only in the image, so per projection
-    class the cut keeps the least candidate of high enough degree, with
-    the first parent giving it, in the order the classes first appear.
+    class the cut keeps the least candidate, with the first parent
+    giving it, in the order the classes first appear.  The placed vertex
+    is pure, so all its pattern neighbors are placed and each candidate
+    lies in the host neighborhoods of their distinct images: its degree
+    is always high enough, and the least candidate is the lowest bit.
     """
     best = {}
     for key in states:
@@ -443,16 +445,12 @@ def _least_image_layer(states, pool, degs, need_deg, prev_pos, pending_pos,
         cand = pool >> lo << lo
         for qt, qp in pending_pos:
             cand &= adj[qt][key[qp]]
-        while cand:
-            low = cand & -cand
-            h = low.bit_length() - 1
-            if degs[h] >= need_deg:
-                rest = get_rest(key)
-                cur = best.get(rest)
-                if cur is None or h < cur[0]:
-                    best[rest] = (h, key)
-                break
-            cand ^= low
+        if cand:
+            h = (cand & -cand).bit_length() - 1
+            rest = get_rest(key)
+            cur = best.get(rest)
+            if cur is None or h < cur[0]:
+                best[rest] = (h, key)
     return {get_head(parent) + (h,) + get_tail(parent): parent
             for h, parent in best.values()}
 

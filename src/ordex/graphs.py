@@ -12,6 +12,11 @@ Three flavors share one immutable representation:
 
 Indices are 1-based in every public API.  Edges are stored as a sorted
 tuple, so equal graphs compare, hash and serialize identically.
+
+``variants`` is the one table of a bipartite pattern's eight images
+under row reversal, column reversal and part swap, which the bound
+engine searches and the record cache probes.  Every op is an
+involution, so ``ops[::-1]`` undoes ``ops``.
 """
 
 from __future__ import annotations
@@ -237,26 +242,23 @@ def apply_variant(g: PatternGraph, ops: tuple[str, ...]) -> PatternGraph:
     return g
 
 
-def invert_variant(ops: tuple[str, ...]) -> tuple[str, ...]:
-    """Each generating op is an involution, so the inverse reverses the sequence."""
-    return tuple(reversed(ops))
+@lru_cache(maxsize=4096)
+def variants(g: PatternGraph) -> tuple[tuple[tuple[str, ...], PatternGraph], ...]:
+    """The eight ``(ops, image)`` pairs of g in ``VARIANT_SEQUENCES``
+    order, repeated images kept; each has g's extremal function.  Shared
+    between callers, which is safe because every part is immutable."""
+    _require_bipartite(g)
+    # Each sequence extends an earlier one by its last op.
+    images = {(): g}
+    for ops in VARIANT_SEQUENCES[1:]:
+        images[ops] = _VARIANT_OPS[ops[-1]](images[ops[:-1]])
+    return tuple(images.items())
 
 
 @lru_cache(maxsize=4096)
 def bipartite_variants(g: PatternGraph) -> tuple[PatternGraph, ...]:
-    """All distinct images of g under row/column reversal and part swap.
-
-    Every member has the same extremal function as g.  The result is
-    sorted by the canonical key and contains at most eight graphs.  It
-    is cached per graph and shared between callers, which is safe
-    because the tuple and every graph in it are immutable.
-    """
-    _require_bipartite(g)
-    seen = {}
-    for ops in VARIANT_SEQUENCES:
-        h = apply_variant(g, ops)
-        seen.setdefault(variant_key(h), h)
-    return tuple(seen[k] for k in sorted(seen))
+    """The distinct images of ``variants(g)``, sorted by the canonical key."""
+    return tuple(sorted({h for _, h in variants(g)}, key=variant_key))
 
 
 def canonical_variant(g: PatternGraph) -> PatternGraph:

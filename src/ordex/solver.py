@@ -51,6 +51,14 @@ class ExtremalRecord:
     value: int
     witness: PatternGraph
 
+    def witness_ok(self) -> bool:
+        """The witness is an n x m host of the flavor with ``value`` edges
+        that avoids the pattern."""
+        w = self.witness
+        return ((w.flavor, w.n_u, w.n_v) == (self.flavor, self.n, self.m)
+                and w.n_edges == self.value
+                and contains(w, self.pattern) is None)
+
 
 def _candidate_edges(flavor: str, n: int, m: int) -> list[tuple[int, int]]:
     if flavor == BIPARTITE:
@@ -76,25 +84,27 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
     if flavor == BIPARTITE:
         if m is None:
             raise GraphValueError("bipartite instances need both part sizes")
-        cap = caps.bipartite
-        if n > cap or m > cap:
-            raise SizeCapError(
-                f"size cap exceeded: {n}x{m} over bipartite cap {cap}")
-    else:
-        if m is not None:
-            raise GraphValueError("only bipartite instances take a second size")
-        cap = caps.ordered if flavor == ORDERED else caps.cyclic
-        if n > cap:
-            raise SizeCapError(f"size cap exceeded: {n} over {flavor} cap {cap}")
-        m = 0
+    elif m is not None:
+        raise GraphValueError("only bipartite instances take a second size")
+    _check_size_cap(flavor, n, m, caps)
+    m = m or 0
     if n < 0 or m < 0:
         raise GraphValueError("negative part size")
 
     value, edges = _search(flavor, n, m, pattern)
-    witness = PatternGraph(flavor, n, m, tuple(edges))
-    if witness.n_edges != value or contains(witness, pattern) is not None:
+    rec = ExtremalRecord(flavor, pattern, n, m, value,
+                         PatternGraph(flavor, n, m, tuple(edges)))
+    if not rec.witness_ok():
         raise AssertionError("solver produced an invalid witness")
-    return ExtremalRecord(flavor, pattern, n, m, value, witness)
+    return rec
+
+
+def _check_size_cap(flavor: str, n: int, m: int | None, caps: SolverCaps):
+    """Refuse an n-vertex (n x m bipartite) instance beyond its flavor's cap."""
+    cap = {BIPARTITE: caps.bipartite, ORDERED: caps.ordered}.get(flavor, caps.cyclic)
+    size = f"{n}x{m}" if flavor == BIPARTITE else str(n)
+    if n > cap or (flavor == BIPARTITE and m > cap):
+        raise SizeCapError(f"size cap exceeded: {size} over {flavor} cap {cap}")
 
 
 @lru_cache(maxsize=4096)
@@ -287,11 +297,13 @@ def growth_table(pattern: PatternGraph, flavor: str, n_range,
 
     Logarithms are binary.  The n log n ratio is None at n = 1.  A cache
     (see ordex.cache) is consulted and filled when provided.  Sizes below
-    1 are refused before anything is solved.
+    1 or beyond the caps are refused before anything is solved.
     """
     sizes = list(n_range)
     if any(n < 1 for n in sizes):
         raise GraphValueError("growth tables need sizes of at least 1")
+    for n in sizes:
+        _check_size_cap(flavor, n, n, caps)
     rows = []
     for n in sizes:
         m = n if flavor == BIPARTITE else None

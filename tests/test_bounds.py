@@ -263,6 +263,46 @@ def test_replay_refuses_forged_steps(rule, side, replays):
     assert replay_derivation(STAIRCASE, derivation) is replays
 
 
+@pytest.mark.parametrize("change, replays", [
+    ({}, True),
+    ({"variant": ("bogus",)}, False),
+    ({"variant": ("swap", "swap", "ru")}, False),
+    ({"params": ()}, False),
+    ({"params": (0, 1)}, False),
+    ({"params": (2, 1, 2)}, False),
+    ({"result": "bipartite 1 1\n1 1\n"}, False),
+], ids=["honest", "unknown-op", "non-table-ops", "no-params", "bad-params",
+        "not-least-cover", "wrong-result"])
+def test_replay_refuses_forged_cover_steps(change, replays):
+    """A cover step replays only as the search records it: its variant
+    is one of the source's eight images and its params and result are
+    the least cover of that image.  Anything else is refused, not
+    raised on."""
+    import dataclasses
+
+    from ordex.bounds import Derivation
+
+    pattern = permutation_matching([2, 1])
+    (step,) = derive_upper_bound(pattern, depth=0).derivation.steps
+    forged = dataclasses.replace(step, **change)
+    derivation = Derivation((forged,), "generalized-matching")
+    assert replay_derivation(pattern, derivation) is replays
+
+
+def test_replay_refuses_a_sailboat_step_with_a_forged_result():
+    """The sailboat base case reproduces its own source; a forged result
+    would otherwise become the source of the next step."""
+    import dataclasses
+
+    from ordex.bounds import Derivation
+
+    (step,) = derive_upper_bound(sailboat(), depth=0).derivation.steps
+    forged = dataclasses.replace(step, result="not a graph")
+    follow = dataclasses.replace(step, source="not a graph")
+    derivation = Derivation((forged, follow), "sailboat")
+    assert replay_derivation(sailboat(), derivation) is False
+
+
 def test_bound_digest_is_pinned():
     """The bound engine's output on the scripts/bound_digest.py corpus
     (values, traces, replay verdicts, canonical forms, classes) is

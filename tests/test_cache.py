@@ -2,10 +2,11 @@ import os
 
 import pytest
 
-from ordex.cache import RecordCache
+from ordex import cache as cache_module
+from ordex.cache import RecordCache, record_bytes
 from ordex.catalog import permutation_matching
 from ordex.containment import contains
-from ordex.graphs import reverse_rows
+from ordex.graphs import bipartite_graph, reverse_rows, swap_parts
 
 
 def test_cache_round_trip_byte_identical(tmp_path):
@@ -37,6 +38,26 @@ def test_variant_reuse_transfers_witness(tmp_path):
     assert rec2.value == rec.value
     assert rec2.witness.n_edges == rec2.value
     assert contains(rec2.witness, mirrored) is None
+
+
+def test_transposed_hit_on_a_non_square_host(tmp_path, monkeypatch):
+    """A record solved at 2 x 3 answers the transposed pattern at 3 x 2:
+    the sizes swap with the parts and the witness is transposed back,
+    revalidated and stored under the exact key, with no second solve."""
+    cache = RecordCache(tmp_path)
+    pat = bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 2)])
+    rec = cache.fetch("bipartite", pat, 2, 3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a transposed hit must not solve")
+
+    monkeypatch.setattr(cache_module, "max_edges_avoiding", no_solve)
+    flipped = swap_parts(pat)
+    out = cache.fetch("bipartite", flipped, 3, 2)
+    assert (out.pattern, out.n, out.m, out.value) == (flipped, 3, 2, rec.value)
+    assert out.witness == swap_parts(rec.witness)
+    assert out.witness_ok()
+    assert cache.load_bytes("bipartite", flipped, 3, 2) == record_bytes(out)
 
 
 def test_schema_version_mismatch_recomputes(tmp_path):

@@ -412,7 +412,7 @@ def test_cli_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "cli_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "eb4f2fb6216537614d1ed808d5f9c17be51bae3f00e71b368cae13eceeaa0323")
+        "4032c7cf64d1c4a4c75ad5e86ad17c7c157b481e6c7bf44e7b403b3b5c7dc833")
 
 
 # ---------------------------------------------------------------------------

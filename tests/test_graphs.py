@@ -9,7 +9,7 @@ from ordex.graphs import (BIPARTITE, VARIANT_SEQUENCES, GraphValueError,
                           connected_components, cyclic_graph,
                           induced_subgraph, interval_chromatic_number,
                           ordered_graph, remove_isolated_vertices,
-                          underlying_shortest_cycle, variant_key)
+                          underlying_shortest_cycle, variant_key, variants)
 from ordex.catalog import (generalized_matching, keszegh_h, ordered_turan,
                            permutation_matching, sailboat)
 
@@ -84,9 +84,10 @@ def test_sailboat_symmetric_under_double_reversal():
 @example(permutation_matching([2, 1, 3]))
 @settings(max_examples=150, deadline=None)
 def test_canonical_variant_is_least_and_invariant(g):
-    # The reference takes the least image directly, bypassing the cached
-    # bipartite_variants that canonical_variant reads.
+    # The reference applies every op sequence directly, bypassing the
+    # cached variants table that canonical_variant reads.
     images = [apply_variant(g, ops) for ops in VARIANT_SEQUENCES]
+    assert variants(g) == tuple(zip(VARIANT_SEQUENCES, images))
     least = min(images, key=variant_key)
     assert canonical_variant(g) == least
     for h in images:

@@ -200,6 +200,26 @@ def test_growth_table_rejects_sizes_below_one():
         growth_table(permutation_matching([1, 2]), "bipartite", range(0, 3))
 
 
+@pytest.mark.parametrize("flavor, pattern, message", [
+    ("bipartite", bipartite_graph(2, 3, [(1, 1), (1, 3), (2, 2)]),
+     "size cap exceeded: 4x4 over bipartite cap 3"),
+    ("ordered", ordered_graph(4, [(1, 4), (2, 3)]),
+     "size cap exceeded: 4 over ordered cap 3"),
+], ids=["bipartite", "ordered"])
+def test_growth_table_refuses_a_range_over_a_cap_before_solving(flavor, pattern,
+                                                                 message):
+    """A range that crosses a size cap is refused with the solver's own
+    message before any size below the cap is solved."""
+    from ordex.solver import _search
+
+    before = _search.cache_info()
+    with pytest.raises(SizeCapError) as err:
+        growth_table(pattern, flavor, range(1, 5),
+                     caps=SolverCaps(ordered=3, bipartite=3))
+    assert str(err.value) == message
+    assert _search.cache_info() == before
+
+
 def test_growth_table_superadditive():
     rows = growth_table(permutation_matching([2, 1]), "bipartite", range(1, 5))
     v = {r.n: r.value for r in rows}
