@@ -5,14 +5,16 @@ reverse applications of edge/vertex stripping rules, each with a known
 penalty on the bound, down to two base cases: patterns covered by a
 generalized matching (linear) and the sailboat pattern (linear times a
 subexponential factor).  Every derivation step records the rule, the
-symmetry variant it fired on, its parameters and both canonical forms,
-so traces replay exactly.
+symmetry variant it fired on, its parameters, its canonical source and
+its result, so traces replay exactly.
 
-A rule is one entry of the ordered ``_RULES`` table: its enumerator,
-the bound it gives the parent and its caveats.  The search and the
-replay read every rule through that entry alone, so a new rule (for
-one with a published proof, its source named in the enumerator's
-docstring) is one enumerator and one entry.
+Reductions and base cases alike are entries of the ordered ``_RULES``
+table: the enumerator, the bound it gives the parent and its caveats;
+a base case also names its terminal.  The search and the replay read
+every rule through that entry alone, so a new reduction or base case
+(for one with a published proof, its source named in the enumerator's
+docstring) is one enumerator and one entry.  Likewise each n log n
+lower-bound witness is one row of ``_NONLINEAR_WITNESSES``.
 
 The search memo is a process-wide ``functools.lru_cache`` keyed by
 (canonical pattern, depth), shared by every call.  That is exact because
@@ -100,10 +102,9 @@ class AsymptoticBound:
     def of(terms, direction: str) -> "AsymptoticBound":
         terms = set(terms)
         kept = [t for t in terms
-                if not any(o is not t and o.dominates(t) and o.key() != t.key()
-                           for o in terms)]
-        dedup = sorted(set(kept), key=BoundTerm.key, reverse=True)
-        return AsymptoticBound(tuple(dedup), direction)
+                if not any(o != t and o.dominates(t) for o in terms)]
+        return AsymptoticBound(tuple(sorted(kept, key=BoundTerm.key,
+                                            reverse=True)), direction)
 
     @property
     def dominant(self) -> BoundTerm:
@@ -172,8 +173,9 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 # Each enumerator takes a concrete bipartite pattern and yields
 # (children, params) pairs, one child for most rules and two for the
-# split; rules are coded against one orientation and reach the mirror
-# configurations through the symmetry variants.
+# split, and one recorded result for a base case; rules are coded
+# against one orientation and reach the mirror configurations through
+# the symmetry variants.
 
 
 def _drop_columns(g: PatternGraph, cols) -> PatternGraph:
@@ -256,6 +258,48 @@ def _strip_leaf_pair(g: PatternGraph):
             yield (_drop_columns(g, [j, j + 1]),), (u0, u1, j)
 
 
+# ---------------------------------------------------------------------------
+# Base cases
+# ---------------------------------------------------------------------------
+
+_MAX_COVER_ROWS = 7
+
+
+@lru_cache(maxsize=4096)
+def _matching_cover(g: PatternGraph):
+    """The smallest generalized matching containing g, as the one firing
+    ``((matching,), (m, *pi))``, or () when there is none.
+
+    Column degrees above one rule a cover out immediately.  Otherwise
+    matchings on exactly the row count of g are generated for every
+    block size up to the maximum row degree and every permutation, in
+    ascending (block size, permutation) order, and tested by
+    containment.
+    """
+    du, dv = g.degrees()
+    if (not g.edges or any(d > 1 for d in dv) or g.n_u > _MAX_COVER_ROWS
+            or 0 in du):
+        return ()
+    k = g.n_u
+    for m in range(max(1, -(-g.n_v // k)), max(du) + 1):
+        for pi in itertools.permutations(range(1, k + 1)):
+            matching = generalized_matching(m, pi, BIPARTITE)
+            if contains(matching, g) is not None:
+                return (((matching,), (m,) + pi),)
+    return ()
+
+
+@lru_cache(maxsize=1)
+def _sailboat_canon() -> PatternGraph:
+    return canonical_variant(sailboat())
+
+
+def _sailboat_case(g: PatternGraph):
+    """The canonical sailboat itself."""
+    if g == _sailboat_canon():
+        yield (g,), ()
+
+
 def _plus_linear(terms: frozenset) -> frozenset:
     return terms | {LINEAR}
 
@@ -269,19 +313,32 @@ def _times_log(power: int):
 
 @dataclass(frozen=True)
 class _Rule:
-    """One reduction: its enumerator, the bound it gives the parent (the
+    """One judgement: its enumerator, the bound it gives the parent (the
     text a trace shows and the map from the union of the children's
     terms to the parent's), caveats, and the param suffix each child's
-    step records, in the order the enumerator yields the children."""
+    step records, in the order the enumerator yields the children.
+
+    A rule that sets ``terminal`` is a base case with that id: its
+    enumerator yields ``((result,), params)``, the step records
+    ``result`` as yielded (neither canonicalised nor searched), it fires
+    at any depth, and its ``terms`` ignores the children.
+    """
 
     enumerator: Callable
     transform: str
     terms: Callable[[frozenset], frozenset]
     caveats: tuple[str, ...] = ()
     sides: tuple[tuple[str, ...], ...] = ((),)
+    terminal: str = ""
 
 
 _RULES = {
+    "sailboat_case": _Rule(_sailboat_case, "n * subexponential factor",
+                           lambda _: frozenset({BoundTerm(Fraction(1), 0, True)}),
+                           terminal="sailboat"),
+    "cover_by_matching": _Rule(_matching_cover, "linear base case",
+                               lambda _: frozenset({LINEAR}),
+                               terminal="generalized-matching"),
     "strip_appended_leaf": _Rule(_strip_appended_leaf, "bound + n", _plus_linear),
     "strip_isolated": _Rule(_strip_isolated, "bound + n", _plus_linear),
     # Stated for single-part hosts; applied to two-part patterns as well,
@@ -295,45 +352,6 @@ _RULES = {
                                 _times_log(1)),
     "strip_leaf_pair": _Rule(_strip_leaf_pair, "bound * log^2 n", _times_log(2)),
 }
-
-
-# ---------------------------------------------------------------------------
-# Base cases
-# ---------------------------------------------------------------------------
-
-_MAX_COVER_ROWS = 7
-
-
-@lru_cache(maxsize=4096)
-def _matching_cover(g: PatternGraph):
-    """Smallest generalized matching containing g, or None.
-
-    Column degrees above one rule a cover out immediately.  Otherwise
-    matchings on exactly the row count of g are generated for every
-    block size up to the maximum row degree and every permutation, in
-    ascending (block size, permutation) order, and tested by
-    containment.
-    """
-    du, dv = g.degrees()
-    if not g.edges or any(d > 1 for d in dv):
-        return None
-    k = g.n_u
-    if k > _MAX_COVER_ROWS:
-        return None
-    if 0 in du:
-        return None
-    max_deg = max(du)
-    for m in range(max(1, -(-g.n_v // k)), max_deg + 1):
-        for pi in itertools.permutations(range(1, k + 1)):
-            matching = generalized_matching(m, pi, BIPARTITE)
-            if contains(matching, g) is not None:
-                return m, pi, matching
-    return None
-
-
-@lru_cache(maxsize=1)
-def _sailboat_canon() -> PatternGraph:
-    return canonical_variant(sailboat())
 
 
 # ---------------------------------------------------------------------------
@@ -352,54 +370,39 @@ class _Candidate:
                 tuple((s.rule, s.source, s.result, s.params) for s in self.steps))
 
 
-def _best(a: _Candidate | None, b: _Candidate | None) -> _Candidate | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b, key=_Candidate.order_key)
+def _best(a: _Candidate | None, b: _Candidate) -> _Candidate:
+    """The better candidate; of two with equal keys, the first."""
+    return b if a is None else min(a, b, key=_Candidate.order_key)
 
 
 @lru_cache(maxsize=4096)
 def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
     """Best candidate for a canonical pattern within the depth cap.
 
-    A pure function of its arguments: every child is searched by its own
-    canonical form at depth - 1, and ties between candidates are broken
-    by a fixed iteration order, so a cached result is the one a fresh
-    search would return.
+    Every rule is tried on every symmetry variant, the reductions only
+    while depth remains.  A pure function of its arguments: every child
+    is searched by its own canonical form at depth - 1, and ties between
+    candidates are broken by a fixed iteration order, so a cached result
+    is the one a fresh search would return.
     """
     text = serialize_graph(canon)
-    images = variants(canon)
     best = None
-    if canon == _sailboat_canon():
-        best = _Candidate(frozenset({BoundTerm(Fraction(1), 0, True)}),
-                          (DerivationStep("sailboat_case", text, text,
-                                          transform="n * subexponential factor"),),
-                          "sailboat")
-    for ops, variant in images:
-        cover = _matching_cover(variant)
-        if cover is not None:
-            m, pi, matching = cover
-            step = DerivationStep(
-                "cover_by_matching", text, serialize_graph(matching),
-                variant=ops, params=(m,) + tuple(pi),
-                transform="linear base case")
-            best = _best(best, _Candidate(frozenset({LINEAR}), (step,),
-                                          "generalized-matching"))
-    if depth <= 0:
-        return best
-    for ops, variant in images:
+    for ops, variant in variants(canon):
         for name, rule in _RULES.items():
+            if depth <= 0 and not rule.terminal:
+                continue
             for children, params in rule.enumerator(variant):
                 steps, terms, terminals = (), frozenset(), []
                 for child, side in zip(children, rule.sides):
-                    child_canon = canonical_variant(child)
-                    sub = _search_upper(child_canon, depth - 1)
-                    if sub is None:
-                        break
+                    if rule.terminal:
+                        sub = _Candidate(frozenset(), (), rule.terminal)
+                    else:
+                        child = canonical_variant(child)
+                        sub = _search_upper(child, depth - 1)
+                        if sub is None:
+                            break
                     steps += (DerivationStep(
-                        name, text, serialize_graph(child_canon), variant=ops,
+                        name, text, serialize_graph(child), variant=ops,
                         params=params + side, transform=rule.transform,
                         caveats=rule.caveats),) + sub.steps
                     terms |= sub.terms
@@ -453,18 +456,16 @@ def replay_derivation(pattern: PatternGraph, derivation: Derivation) -> bool:
     """Re-run every recorded step and confirm it reproduces its output.
 
     Checks that the chain starts at the canonical form of the pattern,
-    that each step's source was produced earlier, that re-applying the
-    rule with the recorded variant and parameters yields the recorded
-    result, and that base-case steps really satisfy their predicate.  A
-    forged step is refused, never raised on.
+    that each step's source was produced earlier, and that re-applying
+    the rule (a reduction or a base case) with the recorded variant and
+    parameters yields the recorded result.  A forged step is refused,
+    never raised on.
     """
     if not derivation.steps:
         return False
     produced = {serialize_graph(canonical_variant(pattern))}
     for step in derivation.steps:
-        if step.source not in produced:
-            return False
-        if not _replay_step(step):
+        if step.source not in produced or not _replay_step(step):
             return False
         produced.add(step.result)
     return True
@@ -472,25 +473,17 @@ def replay_derivation(pattern: PatternGraph, derivation: Derivation) -> bool:
 
 def _replay_step(step: DerivationStep) -> bool:
     source = parse_graph(step.source)
-    if step.rule == "sailboat_case":
-        return (step.result == step.source
-                and canonical_variant(source) == _sailboat_canon())
     variant = next((image for ops, image in variants(source)
                     if ops == tuple(step.variant)), None)
-    if variant is None:
-        return False
-    wanted = tuple(step.params)
-    if step.rule == "cover_by_matching":
-        cover = _matching_cover(variant)
-        return (cover is not None and (cover[0],) + tuple(cover[1]) == wanted
-                and serialize_graph(cover[2]) == step.result)
     rule = _RULES.get(step.rule)
-    if rule is None:
+    if variant is None or rule is None:
         return False
     for children, params in rule.enumerator(variant):
         for child, side in zip(children, rule.sides):
-            if params + side == wanted:
-                return serialize_graph(canonical_variant(child)) == step.result
+            if params + side == tuple(step.params):
+                if not rule.terminal:
+                    child = canonical_variant(child)
+                return serialize_graph(child) == step.result
     return False
 
 
@@ -565,19 +558,28 @@ def classify_pattern(pattern: PatternGraph) -> Classification:
     return Classification("bipartite", chi)
 
 
-_ORDERED_NONLINEAR_WITNESS = PatternGraph(ORDERED, 4, 0, ((1, 3), (1, 4), (2, 4)))
-# Lower bounds try H_1 up to H_<this> of the non-linear bipartite family.
-_NONLINEAR_FAMILY_MAX = 2
+# Rows (witness, rule, params, transform, terminal): a pattern of the
+# witness's flavor that contains it is at least n log n.  H_1 and H_2
+# are the non-linear bipartite family; the ordered row is the
+# four-vertex pattern avoided by the doubling-distance host.
+_NONLINEAR_WITNESSES = (
+    (keszegh_h(1), "contains_nonlinear_family", (1,),
+     "tripling-distance host", "nonlinear-family:1"),
+    (keszegh_h(2), "contains_nonlinear_family", (2,),
+     "tripling-distance host", "nonlinear-family:2"),
+    (PatternGraph(ORDERED, 4, 0, ((1, 3), (1, 4), (2, 4))),
+     "contains_nonlinear_ordered", (), "doubling-distance host",
+     "nonlinear-ordered"),
+)
 
 
 def derive_lower_bound(pattern: PatternGraph) -> BoundResult:
     """Best lower bound from the known sources, with its witness recorded.
 
     Sources: a cycle of length k in the underlying graph gives
-    n^(1 + 1/(k-1)); containing a member of the non-linear bipartite
-    family (or, for ordered patterns, the four-vertex pattern avoided by
-    the doubling-distance host) gives n log n; otherwise the constant
-    floor.
+    n^(1 + 1/(k-1)); the first ``_NONLINEAR_WITNESSES`` row of the
+    pattern's flavor that the pattern contains gives n log n; otherwise
+    the constant floor.
     """
     if not pattern.edges:
         raise GraphValueError("pattern graphs need at least one edge")
@@ -592,27 +594,15 @@ def derive_lower_bound(pattern: PatternGraph) -> BoundResult:
                               transform="random construction purged of "
                                         f"{k}-cycles")
         candidates.append((term, Derivation((step,), f"cycle:{k}")))
-    if pattern.flavor == BIPARTITE:
-        for j in range(1, _NONLINEAR_FAMILY_MAX + 1):
-            family = keszegh_h(j)
-            if family.n_edges > pattern.n_edges:
-                break
-            if contains(pattern, family) is not None:
-                term = BoundTerm(Fraction(1), 1)
-                step = DerivationStep("contains_nonlinear_family", text,
-                                      serialize_graph(family), params=(j,),
-                                      transform="tripling-distance host")
-                candidates.append((term, Derivation((step,),
-                                                    f"nonlinear-family:{j}")))
-                break
-    if pattern.flavor == ORDERED:
-        if pattern.n_edges >= _ORDERED_NONLINEAR_WITNESS.n_edges and \
-                contains(pattern, _ORDERED_NONLINEAR_WITNESS) is not None:
-            term = BoundTerm(Fraction(1), 1)
-            step = DerivationStep("contains_nonlinear_ordered", text,
-                                  serialize_graph(_ORDERED_NONLINEAR_WITNESS),
-                                  transform="doubling-distance host")
-            candidates.append((term, Derivation((step,), "nonlinear-ordered")))
+    for witness, rule, params, transform, terminal in _NONLINEAR_WITNESSES:
+        if (witness.flavor == pattern.flavor
+                and witness.n_edges <= pattern.n_edges
+                and contains(pattern, witness) is not None):
+            step = DerivationStep(rule, text, serialize_graph(witness),
+                                  params=params, transform=transform)
+            candidates.append((BoundTerm(Fraction(1), 1),
+                               Derivation((step,), terminal)))
+            break
     term, derivation = max(candidates, key=lambda c: c[0].key())
     return BoundResult(AsymptoticBound.of({term}, LOWER), derivation)
 

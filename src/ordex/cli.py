@@ -371,8 +371,6 @@ def dispatch(argv, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     mode = getattr(args, "format", "json")
-    if args.command == "table":
-        mode = "json"
     try:
         payload = args.handler(args)
     except DomainError as exc:

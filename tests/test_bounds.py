@@ -303,6 +303,62 @@ def test_replay_refuses_a_sailboat_step_with_a_forged_result():
     assert replay_derivation(sailboat(), derivation) is False
 
 
+@pytest.mark.parametrize("change, replays", [
+    ({}, True),
+    ({"variant": ("ru", "rv")}, True),
+    ({"variant": ("bogus",)}, False),
+    ({"variant": ("ru",)}, False),
+    ({"variant": ("swap",)}, False),
+    ({"params": (1,)}, False),
+], ids=["honest", "own-symmetry", "unknown-op", "row-reversal", "transpose",
+        "params"])
+def test_replay_checks_a_sailboat_step_like_any_rule(change, replays):
+    """A sailboat step replays only on a variant of its source that is
+    the canonical sailboat (the identity, or the sailboat's own symmetry
+    of reversing both parts) and with the params it records, none."""
+    import dataclasses
+
+    from ordex.bounds import Derivation
+
+    (step,) = derive_upper_bound(sailboat(), depth=0).derivation.steps
+    forged = dataclasses.replace(step, **change)
+    derivation = Derivation((forged,), "sailboat")
+    assert replay_derivation(sailboat(), derivation) is replays
+
+
+ZIGZAG = bipartite_graph(3, 3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
+
+
+def test_one_rule_entry_is_a_new_base_case():
+    """A base case is one ``_RULES`` entry: with a stub entry for the
+    zig-zag the search derives it and the replay accepts the trace, and
+    without it the zig-zag has no derivation again.  The stub is test
+    scaffolding, not a claimed bound."""
+    from unittest import mock
+
+    from ordex import bounds
+    from ordex.graphs import canonical_variant
+
+    canon = canonical_variant(ZIGZAG)
+
+    def stub(g):
+        if g == canon:
+            yield (g,), ()
+
+    entry = bounds._Rule(stub, "stub", lambda _: frozenset({bounds.LINEAR}),
+                         terminal="stub")
+    bounds._search_upper.cache_clear()
+    try:
+        with mock.patch.dict(bounds._RULES, {"stub_case": entry}):
+            res = derive_upper_bound(ZIGZAG)
+            assert not res.no_derivation
+            assert res.derivation.terminal == "stub"
+            assert replay_derivation(ZIGZAG, res.derivation)
+    finally:
+        bounds._search_upper.cache_clear()
+    assert derive_upper_bound(ZIGZAG).no_derivation
+
+
 def test_bound_digest_is_pinned():
     """The bound engine's output on the scripts/bound_digest.py corpus
     (values, traces, replay verdicts, canonical forms, classes) is
@@ -318,7 +374,7 @@ def test_bound_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "bound_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "2645faf44cde10010847ae54a358b8a25ed3dcca434123fe96ba11170fd29f16")
+        "a4e46fbb53c4ded7b75644b5343f3acee1b5abd884a04d32e6999c760059193a")
 
 
 # ---------------------------------------------------------------------------
