@@ -11,14 +11,15 @@ fitted constant is a sanity signal, not an asserted fact.
 Usage: growth_probe.py PATTERN_FILE [N_MAX] [--cache DIR]
 """
 
+import argparse
 import math
-import sys
 
 from ordex.bounds import derive_upper_bound
 from ordex.cache import RecordCache
+from ordex.config import SolverCaps
 from ordex.formats import parse_graph
 from ordex.graphs import BIPARTITE
-from ordex.solver import SolverCaps, growth_table
+from ordex.solver import growth_table
 
 
 def term_value(term, n):
@@ -30,19 +31,20 @@ def term_value(term, n):
     return value
 
 
-def main(argv):
-    if not argv:
-        print(__doc__)
-        return 2
-    path = argv[0]
-    n_max = int(argv[1]) if len(argv) > 1 and not argv[1].startswith("--") else 6
-    cache = None
-    if "--cache" in argv:
-        cache = RecordCache(argv[argv.index("--cache") + 1])
-    with open(path, encoding="utf-8") as fh:
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("pattern", metavar="PATTERN_FILE",
+                    help="pattern in ordex graph text")
+    ap.add_argument("n_max", metavar="N_MAX", type=int, nargs="?", default=6,
+                    help="largest size solved (default 6)")
+    ap.add_argument("--cache", metavar="DIR",
+                    help="record cache to consult and fill")
+    args = ap.parse_args(argv)
+    cache = RecordCache(args.cache) if args.cache else None
+    with open(args.pattern, encoding="utf-8") as fh:
         pattern = parse_graph(fh.read())
-    caps = SolverCaps(bipartite=max(8, n_max), ordered=max(12, n_max))
-    rows = growth_table(pattern, pattern.flavor, range(1, n_max + 1),
+    caps = SolverCaps(bipartite=max(8, args.n_max), ordered=max(12, args.n_max))
+    rows = growth_table(pattern, pattern.flavor, range(1, args.n_max + 1),
                         caps=caps, cache=cache)
     print(f"{'n':>3} {'value':>6} {'value/n':>9} {'value/(n log n)':>16}")
     for r in rows:
@@ -64,4 +66,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

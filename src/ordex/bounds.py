@@ -558,10 +558,10 @@ def classify_pattern(pattern: PatternGraph) -> Classification:
     return Classification("bipartite", chi)
 
 
-# Rows (witness, rule, params, transform, terminal): a pattern of the
-# witness's flavor that contains it is at least n log n.  H_1 and H_2
-# are the non-linear bipartite family; the ordered row is the
-# four-vertex pattern avoided by the doubling-distance host.
+# Rows (witness, rule, params, transform, terminal): a pattern that
+# contains the witness in the witness's flavor is at least n log n.
+# H_1 and H_2 are the non-linear bipartite family; the ordered row is
+# the four-vertex pattern avoided by the doubling-distance host.
 _NONLINEAR_WITNESSES = (
     (keszegh_h(1), "contains_nonlinear_family", (1,),
      "tripling-distance host", "nonlinear-family:1"),
@@ -577,9 +577,10 @@ def derive_lower_bound(pattern: PatternGraph) -> BoundResult:
     """Best lower bound from the known sources, with its witness recorded.
 
     Sources: a cycle of length k in the underlying graph gives
-    n^(1 + 1/(k-1)); the first ``_NONLINEAR_WITNESSES`` row of the
-    pattern's flavor that the pattern contains gives n log n; otherwise
-    the constant floor.
+    n^(1 + 1/(k-1)); the first ``_NONLINEAR_WITNESSES`` row that the
+    pattern contains, in its own flavor or, for an ordered pattern of
+    interval chromatic number 2, in its bipartite form, gives n log n;
+    otherwise the constant floor.
     """
     if not pattern.edges:
         raise GraphValueError("pattern graphs need at least one edge")
@@ -594,10 +595,16 @@ def derive_lower_bound(pattern: PatternGraph) -> BoundResult:
                               transform="random construction purged of "
                                         f"{k}-cycles")
         candidates.append((term, Derivation((step,), f"cycle:{k}")))
+    # A two-interval ordered pattern is also matched in its bipartite
+    # form: laying an n x n host out as rows then columns keeps it
+    # avoiding, so the bipartite rows bound the ordered pattern too.
+    forms = {pattern.flavor: pattern}
+    if pattern.flavor == ORDERED and interval_chromatic_number(pattern) == 2:
+        forms[BIPARTITE] = ordered_to_bipartite(pattern)
     for witness, rule, params, transform, terminal in _NONLINEAR_WITNESSES:
-        if (witness.flavor == pattern.flavor
-                and witness.n_edges <= pattern.n_edges
-                and contains(pattern, witness) is not None):
+        host = forms.get(witness.flavor)
+        if (host is not None and witness.n_edges <= host.n_edges
+                and contains(host, witness) is not None):
             step = DerivationStep(rule, text, serialize_graph(witness),
                                   params=params, transform=transform)
             candidates.append((BoundTerm(Fraction(1), 1),

@@ -19,7 +19,7 @@ from .bounds import (bipartite_to_ordered, classify_pattern, derive_lower_bound,
                      ordered_to_bipartite)
 from .cache import RecordCache, default_cache_dir, record_bytes, record_payload
 from .constructions import power_distance_graph, random_ck_free, verify_construction
-from .containment import EdgelessPatternError, FlavorMismatchError, contains
+from .containment import contains
 from .formats import GraphTextError, parse_graph, serialize_graph
 from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError,
                      circular_chromatic_number, interval_chromatic_number)
@@ -379,7 +379,7 @@ def dispatch(argv, out=None) -> int:
     except SizeCapError as exc:
         _emit(out, {"error": str(exc), "kind": "cap"}, mode)
         return 1
-    except (FlavorMismatchError, EdgelessPatternError, GraphValueError) as exc:
+    except GraphValueError as exc:
         _emit(out, {"error": str(exc), "kind": "domain"}, mode)
         return 1
     except OSError as exc:

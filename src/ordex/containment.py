@@ -46,11 +46,11 @@ from .graphs import BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph
 REDUCE_ABOVE = 64
 
 
-class FlavorMismatchError(ValueError):
+class FlavorMismatchError(GraphValueError):
     """Host and pattern flavors differ."""
 
 
-class EdgelessPatternError(ValueError):
+class EdgelessPatternError(GraphValueError):
     """Containment is defined only for patterns with at least one edge."""
 
 

@@ -13,14 +13,15 @@ the count of cells left, two suffix bounds in the manner of Füredi and
 Hajnal (1992) cap a branch at candidate (a, b): every sub-host of an
 avoiding host avoids the pattern, so the cells after row a hold at
 most ex(n-a) edges, and rows a..n, with the edges row a already has,
-hold at most ex(n-a+1).  The ex values of smaller instances come from
-the same search, memoised per (flavor, size, m, pattern) for
-top-level solves and sub-searches alike.  Every bound holds for every
-leaf below the branch and a cut needs it to be no better than the best
-so far, so the first leaf of the include-first walk that reaches the
-optimum is never cut.  Because subsets are visited in lexicographic
-order, the witness kept for the optimum is the lexicographically least
-one, and values and witnesses are reproducible run to run.
+hold at most ex(n-a+1).  Each ex(k) with k < n is the value of this
+same search on k rows (k x m bipartite) or k vertices, memoised per
+(flavor, size, m, pattern) for top-level solves and sub-searches
+alike.  Every bound holds for every leaf below the branch and a cut
+needs it to be no better than the best so far, so the first leaf of
+the include-first walk that reaches the optimum is never cut.  Because
+subsets are visited in lexicographic order, the witness kept for the
+optimum is the lexicographically least one, and values and witnesses
+are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -121,30 +122,30 @@ def _search(flavor, n, m, pattern):
     a+1..n, and rows a..n hold row a's chosen edges too.  Those
     sub-hosts avoid the pattern, so a branch is cut when neither
 
-        chosen + min(cells left, row rest + ex(n-a))
-        chosen before row a + ex(n-a+1)
+        chosen + min(cells left, row rest + ex[n-a])
+        chosen before row a + ex[n-a+1]
 
-    can beat the best leaf so far (``_suffix_value`` gives ex).  Both are
-    upper bounds on every leaf below, so the first include-first leaf
-    reaching the optimum is never cut and the witness stays the
-    lexicographically least.
+    can beat the best leaf so far.  ``ex[k]`` for k < n is this same
+    memoised search on k rows (vertices), so a sub-host too small for a
+    copy comes back full.  ``ex[n]`` is the cell count, standing in for
+    the value being computed.  Both are upper bounds on every leaf
+    below, so the first include-first leaf reaching the optimum is
+    never cut and the witness stays the lexicographically least; before
+    any leaf (best = -1) neither test can hold.
 
     Results are memoised per (flavor, n, m, pattern) and shared between
-    top-level solves and the sub-searches behind the suffix bounds, so a
-    growth table ascending n solves each size once.
+    top-level solves and the sub-searches behind ``ex``, so a growth
+    table ascending n solves each size once.
     """
     candidates = _candidate_edges(flavor, n, m)
     total = len(candidates)
+    ex = [_search(flavor, k, m, pattern)[0] for k in range(n)] + [total]
     width = m if flavor == BIPARTITE else n
     P = pattern_index(pattern)
     H = HostIndex(flavor, n, m)
     chosen = []
     best = -1
     best_edges = ()
-    # Per row a: (ex(n-a), ex(n-a+1)), filled the first time a branch in
-    # the row could be cut (a leaf exists), with total standing in for
-    # the whole host's own value, which is what this search computes.
-    row_bounds = [None] * (n + 1)
 
     def walk(i, base):
         nonlocal best, best_edges
@@ -156,14 +157,8 @@ def _search(flavor, n, m, pattern):
             return
         e = candidates[i]
         a, b = e
-        if best >= 0:
-            bounds = row_bounds[a]
-            if bounds is None:
-                bounds = row_bounds[a] = (
-                    _suffix_value(flavor, n - a, m, pattern),
-                    _suffix_value(flavor, n - a + 1, m, pattern) if a > 1 else total)
-            if c + width - b + 1 + bounds[0] <= best or base + bounds[1] <= best:
-                return
+        if c + width - b + 1 + ex[n - a] <= best or base + ex[n - a + 1] <= best:
+            return
         row_ends = b == width
         H.add_edge(e)
         if not uses_edge(P, H, e):
@@ -175,18 +170,6 @@ def _search(flavor, n, m, pattern):
 
     walk(0, 0)
     return best, best_edges
-
-
-def _suffix_value(flavor, k, m, pattern):
-    """Exact maximum on k rows (k x m bipartite) or k vertices.
-
-    Fewer rows or vertices than the pattern's first part cannot hold a
-    copy, so every cell counts; otherwise the memoised ``_search`` solves
-    the smaller instance, itself pruned by smaller values.
-    """
-    if k < pattern.n_u:
-        return k * m if flavor == BIPARTITE else k * (k - 1) // 2
-    return _search(flavor, k, m, pattern)[0]
 
 
 def count_avoiders(n: int, pattern: PatternGraph,
@@ -206,7 +189,7 @@ def count_avoiders(n: int, pattern: PatternGraph,
         raise GraphValueError("host size n must be non-negative")
     if n > caps.avoiders:
         raise SizeCapError(f"size cap exceeded: {n} over avoider cap {caps.avoiders}")
-    cells = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    cells = _candidate_edges(BIPARTITE, n, n)
     P = pattern_index(pattern)
     H = HostIndex(BIPARTITE, n, n)
 

@@ -298,3 +298,20 @@ def test_solver_digest_is_pinned():
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
         "eb82f3c116f1a7df934afbf186c92dfeb46806df75b57ec88c3a65e98ff4321c")
+
+
+def test_growth_probe_cache_without_directory_is_a_usage_error(tmp_path):
+    """``--cache`` with no directory is refused with a usage message and
+    exit 2, not a traceback."""
+    root = Path(__file__).resolve().parents[1]
+    pattern = tmp_path / "hook.txt"
+    pattern.write_text("bipartite 2 2\n1 1\n1 2\n2 2\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "growth_probe.py"),
+                          str(pattern), "3", "--cache"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage:")
+    assert "Traceback" not in out.stderr
