@@ -43,7 +43,8 @@ def main(argv=None):
     cache = RecordCache(args.cache) if args.cache else None
     with open(args.pattern, encoding="utf-8") as fh:
         pattern = parse_graph(fh.read())
-    caps = SolverCaps(bipartite=max(8, args.n_max), ordered=max(12, args.n_max))
+    caps = SolverCaps(bipartite=max(8, args.n_max), ordered=max(12, args.n_max),
+                      cyclic=max(12, args.n_max))
     rows = growth_table(pattern, pattern.flavor, range(1, args.n_max + 1),
                         caps=caps, cache=cache)
     print(f"{'n':>3} {'value':>6} {'value/n':>9} {'value/(n log n)':>16}")

@@ -101,15 +101,15 @@ def test_count_avoiders_refuses_negative_size():
 def test_negative_sizes_refused_before_search(flavor, n, m):
     """A negative size is refused before the memoised search runs, so no
     junk entry lands in its cache."""
-    from ordex.solver import _search
+    from ordex.solver import _row_table, _search
 
     pattern = {"ordered": ordered_graph(4, [(1, 3), (1, 4), (2, 4)]),
                "cyclic": cyclic_graph(4, [(1, 3), (2, 4)]),
                "bipartite": permutation_matching([1, 2])}[flavor]
-    before = _search.cache_info().currsize
+    before = _search.cache_info().currsize, _row_table.cache_info()
     with pytest.raises(GraphValueError, match="negative part size"):
         max_edges_avoiding(flavor, n, pattern, m=m)
-    assert _search.cache_info().currsize == before
+    assert (_search.cache_info().currsize, _row_table.cache_info()) == before
 
 
 def test_solver_matches_oracle_randomized():
@@ -154,6 +154,34 @@ def test_avoider_count_matches_brute_force_n3():
     pat = permutation_matching([2, 1])
     assert count_avoiders(3, pat) == \
         brute_force_avoider_count(3, pat, _oracle_contains)
+
+
+def _random_bipartite_patterns(seed, count):
+    rng = random.Random(seed)
+    patterns = []
+    for _ in range(count):
+        pn, pm = rng.randint(1, 3), rng.randint(1, 3)
+        cells = [(u, v) for u in range(1, pn + 1) for v in range(1, pm + 1)]
+        rng.shuffle(cells)
+        patterns.append(bipartite_graph(pn, pm, cells[:rng.randint(1, min(4, len(cells)))]))
+    return patterns
+
+
+def test_avoider_counts_match_brute_force_on_random_patterns():
+    """Seeded small patterns, some with empty rows or columns, against
+    full enumeration of every n x n host."""
+    patterns = _random_bipartite_patterns(2024, 20)
+    degrees = [p.degrees() for p in patterns]
+    assert any(0 in du for du, _ in degrees) and any(0 in dv for _, dv in degrees)
+    for pattern in patterns:
+        for n in range(4):
+            assert count_avoiders(n, pattern) == \
+                brute_force_avoider_count(n, pattern, _oracle_contains), (pattern, n)
+
+
+def test_avoider_count_of_the_hook_at_the_cap():
+    # Exact count computed once and frozen; the 4x4 hosts are 2^16.
+    assert count_avoiders(4, BIPARTITE_PATTERNS["11/01"]) == 6902
 
 
 def test_avoider_halving_recursion():
@@ -210,14 +238,14 @@ def test_growth_table_refuses_a_range_over_a_cap_before_solving(flavor, pattern,
                                                                  message):
     """A range that crosses a size cap is refused with the solver's own
     message before any size below the cap is solved."""
-    from ordex.solver import _search
+    from ordex.solver import _row_table, _search
 
-    before = _search.cache_info()
+    before = _search.cache_info(), _row_table.cache_info()
     with pytest.raises(SizeCapError) as err:
         growth_table(pattern, flavor, range(1, 5),
                      caps=SolverCaps(ordered=3, bipartite=3))
     assert str(err.value) == message
-    assert _search.cache_info() == before
+    assert (_search.cache_info(), _row_table.cache_info()) == before
 
 
 def test_growth_table_superadditive():
@@ -278,12 +306,38 @@ def test_bipartite_value_and_least_witness_match_brute_force(name, n, m):
     _assert_value_and_least_witness("bipartite", n, m, BIPARTITE_PATTERNS[name])
 
 
+@pytest.mark.parametrize("n,m", [(4, 4), (4, 5), (5, 4)])
+def test_zigzag_value_and_least_witness_match_brute_force(n, m):
+    """The zig-zag tree keeps every kept column fixed, so no Pareto cut
+    applies and its DP states are the largest among small patterns."""
+    zigzag = bipartite_graph(3, 3, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
+    _assert_value_and_least_witness("bipartite", n, m, zigzag)
+
+
 def test_ordered_hook_values_are_frozen():
     # Exact values computed once and frozen; n=9 fits in tier-1 only
     # because the suffix bound makes it sub-second.
     hook = ORDERED_PATTERNS["hook"]
     for n, expected in ((7, 14), (8, 17), (9, 21)):
         assert max_edges_avoiding("ordered", n, hook).value == expected
+
+
+def test_linear_patterns_reach_n_plus_m_minus_one_up_to_the_cap():
+    """ex(n, m) = n + m - 1 for 11/01, 12 and 21 at every size to 8x8.
+
+    A full first row and a full last column avoid 12 and 21 (after
+    flipping the rows for 21), and splitting the cells into n + m - 1
+    chains that each hold at most one edge caps them.  In a host avoiding
+    11/01 every edge is the first of its row or the last of its column,
+    which again caps it at n + m - 1.
+    """
+    for name in ("11/01", "12", "21"):
+        pattern = permutation_matching([2, 1]) if name == "21" else \
+            BIPARTITE_PATTERNS[name]
+        for m in range(1, 9):
+            for n in range(1, 9):
+                assert max_edges_avoiding("bipartite", n, pattern, m=m).value == \
+                    n + m - 1, (name, n, m)
 
 
 def test_solver_digest_is_pinned():
@@ -315,3 +369,19 @@ def test_growth_probe_cache_without_directory_is_a_usage_error(tmp_path):
     assert out.returncode == 2
     assert out.stderr.startswith("usage:")
     assert "Traceback" not in out.stderr
+
+
+def test_growth_probe_raises_the_cyclic_cap_too(tmp_path):
+    """A cyclic pattern with N_MAX over the cyclic cap of 12 is solved up to
+    N_MAX like the other flavors, not refused with a traceback."""
+    root = Path(__file__).resolve().parents[1]
+    pattern = tmp_path / "edge.txt"
+    pattern.write_text("cyclic 2\n1 2\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "growth_probe.py"),
+                          str(pattern), "13"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].split()[:2] == ["13", "0"]
