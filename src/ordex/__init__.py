@@ -18,7 +18,7 @@ from .config import SolverCaps
 from .constructions import (ConstructionReport, power_distance_graph,
                             random_ck_free, verify_construction)
 from .containment import (EdgelessPatternError, Embedding, FlavorMismatchError,
-                          contains, embedding_is_valid, embedding_uses_edge)
+                          contains, embedding_is_valid)
 from .formats import GraphTextError, parse_graph, serialize_graph
 from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
                      bipartite_graph, bipartite_variants, canonical_variant,

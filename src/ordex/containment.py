@@ -15,10 +15,9 @@ This keeps avoidance proofs on large structured hosts cheap, where
 plain backtracking revisits equivalent partial maps exponentially
 often.  The host is one int bitmask of neighbors per vertex, so a
 state's candidates are its window ANDed with the host neighborhoods of
-its placed pattern neighbors, and the exact solver's edge edits are a
-few bit operations.  When the placed vertex is itself pure, the cut
-leaves each parent only its least candidate, so such a step expands
-each parent once, by its least image (see ``find_embedding``).
+its placed pattern neighbors.  When the placed vertex is itself pure,
+the cut leaves each parent only its least candidate, so such a step
+expands each parent once, by its least image (see ``find_embedding``).
 
 Cyclic containment is the same search run in windows.  An injection
 preserves the cyclic order exactly when some rotation of the host
@@ -94,8 +93,8 @@ class PatternIndex:
     one for a single-part pattern.
     """
 
-    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "edge_ids",
-                 "order", "plan", "self_pos", "_seed_plans")
+    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "order", "plan",
+                 "self_pos")
 
     def __init__(self, pattern: PatternGraph):
         pu = pattern.n_u
@@ -105,12 +104,10 @@ class PatternIndex:
         self.idx = list(range(1, pu + 1)) + list(range(1, pv + 1))
         self.part_count = (pu, pv)
         self.nbrs = [[] for _ in range(self.n)]
-        self.edge_ids = []
         # A single-part (ordered or cyclic) pattern is read linearly.
         second = pu if pattern.flavor == BIPARTITE else 0
         for a, b in pattern.edges:
             x, y = a - 1, second + b - 1
-            self.edge_ids.append((x, y))
             self.nbrs[x].append(y)
             self.nbrs[y].append(x)
         self.deg = [len(x) for x in self.nbrs]
@@ -223,32 +220,6 @@ class PatternIndex:
             ))
             self.self_pos.append(self_pos)
             old_boundary = boundary
-        self._seed_plans = {}
-
-    def seed_plan(self, forced: tuple) -> list:
-        """The step plans extended for the forced vertex ids ``forced`` (cached).
-
-        Step t's plan gains ``(slot, caps, later)``: the slot in ``forced``
-        of the vertex placed at t (-1 if it is free); ``(slot, gap)`` for
-        each forced vertex of the same part ``gap`` indices further on,
-        whose image minus ``gap`` caps this one; and ``(part, slot)`` for
-        each forced pattern neighbor placed after t, whose image's host
-        neighborhood must contain this one's.
-        """
-        plan = self._seed_plans.get(forced)
-        if plan is None:
-            slot = {q: s for s, q in enumerate(forced)}
-            step = {p: t for t, p in enumerate(self.order)}
-            plan = []
-            for t, p in enumerate(self.order):
-                caps = tuple((slot[q], self.idx[q] - self.idx[p]) for q in forced
-                             if self.part[q] == self.part[p]
-                             and self.idx[q] > self.idx[p])
-                later = tuple((self.part[q], slot[q]) for q in forced
-                              if q in self.nbrs[p] and step[q] > t)
-                plan.append(self.plan[t] + (slot.get(p, -1), caps, later))
-            self._seed_plans[forced] = plan
-        return plan
 
 
 @lru_cache(maxsize=512)
@@ -257,13 +228,13 @@ def pattern_index(pattern: PatternGraph) -> PatternIndex:
 
 
 class HostIndex:
-    """Mutable host adjacency as one int bitmask per vertex.
+    """Host adjacency as one int bitmask per vertex.
 
     Bit h of ``adj[part][x]`` is set when host vertex h is a neighbor of
     vertex x of that part; the neighbors live on the opposite part for
     bipartite hosts.  ``deg[part][x]`` is the degree of x in the host.
     Single-part hosts alias both entries of ``sizes``, ``adj`` and
-    ``deg`` to one vertex set, so edge edits need no part branch.
+    ``deg`` to one vertex set, so adding an edge needs no part branch.
 
     A cyclic host of n vertices (``wrap`` = n, otherwise 0) is held on
     vertices 1..2n.  Its edge (a, b) is stored as (a, b), (b, a+n) and
@@ -272,9 +243,7 @@ class HostIndex:
     relabeled to start at vertex base+1.  ``bases`` lists the windows to
     search: every rotation of a cyclic host, the one window at 0 of any
     other.  Edges are given in host labels, a single-part edge lower
-    end first.  The exact solver edits the index edge by edge;
-    ``add_edge`` takes only absent edges and ``remove_edge`` only
-    present ones, or the degree counts drift.
+    end first.
     """
 
     __slots__ = ("sizes", "adj", "deg", "wrap", "bases")
@@ -293,37 +262,30 @@ class HostIndex:
             self.adj = (adj, adj)
             self.deg = (deg, deg)
         for e in edges:
-            self._flip(e, 1)
+            self._add(e)
 
     @classmethod
     def of(cls, g: PatternGraph) -> "HostIndex":
         return cls(g.flavor, g.n_u, g.n_v, g.edges)
 
-    def add_edge(self, e):
-        self._flip(e, 1)
-
-    def remove_edge(self, e):
-        self._flip(e, -1)
-
-    def _flip(self, e, step):
+    def _add(self, e):
         a, b = e
         adj, deg = self.adj, self.deg
-        adj[0][a] ^= 1 << b
-        adj[1][b] ^= 1 << a
-        deg[0][a] += step
-        deg[1][b] += step
+        adj[0][a] |= 1 << b
+        adj[1][b] |= 1 << a
+        deg[0][a] += 1
+        deg[1][b] += 1
         n = self.wrap
         if n:
             adj, deg = adj[0], deg[0]
-            adj[b] ^= 1 << (a + n)
-            adj[a + n] ^= (1 << b) | (1 << (b + n))
-            adj[b + n] ^= 1 << (a + n)
-            deg[a + n] += step
-            deg[b + n] += step
+            adj[b] |= 1 << (a + n)
+            adj[a + n] |= (1 << b) | (1 << (b + n))
+            adj[b + n] |= 1 << (a + n)
+            deg[a + n] += 1
+            deg[b + n] += 1
 
 
-def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
-                   base: int = 0) -> list[int] | None:
+def find_embedding(P: PatternIndex, H: HostIndex, base: int = 0) -> list[int] | None:
     """Run the layered search in the window after ``base`` (one of
     ``H.bases``); returns flat images (vertex id -> host) or None.
 
@@ -345,15 +307,6 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
     (``_least_image_layer``).  Otherwise the plain walk runs and
     ``_pareto_reduce`` cuts its layer.  The cut is sound at any layer
     size, so the threshold decides only which embedding is found first.
-
-    ``forced`` lists pattern vertex ids whose images are forced to the
-    host labels ``images``, used by the exact solver to look only for
-    embeddings through a just-added host edge.  The forced images narrow
-    the pool: a forced vertex's pool is its image alone, a vertex of the
-    same part ``gap`` indices before a forced one must sit at least
-    ``gap`` below its image, and a pattern neighbor of a forced vertex
-    must be a host neighbor of its image.  These rules drop only states
-    with no completion, so whether an embedding exists is unchanged.
     Deterministic: layers are expanded in insertion order and candidates
     ascend, so the first witness found is always the same, and moving
     the window shifts every state without reordering any.
@@ -368,22 +321,9 @@ def find_embedding(P: PatternIndex, H: HostIndex, forced=(), images=(),
     states = {(): None}
     trail = []
     for (pt, prev_pos, get_head, get_tail, get_rest, pending_pos, need_deg, pure,
-         self_pure, hi_off, slot, caps, later) in P.seed_plan(forced):
-        hi_cap = base + sizes[pt] - hi_off
-        for s, gap in caps:
-            if images[s] - gap < hi_cap:
-                hi_cap = images[s] - gap
-        if hi_cap <= base:
-            return None
-        # Candidates allowed by the window and the seeds, the same for
-        # every state.
-        pool = (2 << hi_cap) - (2 << base)
-        if slot >= 0:
-            pool &= 1 << images[slot]
-        for qt, s in later:
-            pool &= adj[qt][images[s]]
-        if not pool:
-            return None
+         self_pure, hi_off) in P.plan:
+        # Candidates allowed by the window, the same for every state.
+        pool = (2 << (base + sizes[pt] - hi_off)) - (2 << base)
         degs = H.deg[pt]
         cut = pure and len(states) > REDUCE_ABOVE
         if cut and self_pure:
@@ -529,43 +469,6 @@ def contains(host: PatternGraph, pattern: PatternGraph) -> Embedding | None:
             pu = P.part_count[0]
             return Embedding(tuple(img[:pu]), tuple(img[pu:]))
     return None
-
-
-def embedding_uses_edge(host: PatternGraph, pattern: PatternGraph,
-                        edge: tuple[int, int]) -> bool:
-    """True if some embedding maps a pattern edge onto the given host edge.
-
-    After adding one edge to a host known to avoid the pattern,
-    containment can only arise through embeddings whose image includes
-    that edge; the exact solver runs the same search through
-    ``uses_edge`` on its own host index.  The flavors must agree, the
-    pattern must have an edge and ``edge`` must be a host edge; a
-    single-part edge may be given in either order.
-    """
-    _check_pair(host, pattern)
-    a, b = edge
-    if not host.has_edge(a, b):
-        raise GraphValueError(f"({a}, {b}) is not an edge of the host")
-    if host.flavor != BIPARTITE and a > b:
-        a, b = b, a
-    return uses_edge(pattern_index(pattern), HostIndex.of(host), (a, b))
-
-
-def uses_edge(P: PatternIndex, H: HostIndex, edge: tuple[int, int]) -> bool:
-    """Forced-edge search against a prebuilt host index (solver hot path).
-
-    Each window is seeded with the copy of the edge that lies inside
-    it: rotating (a, b) to (b, a+n) until its lower end passes the base.
-    """
-    n = H.wrap
-    for base in H.bases:
-        a, b = edge
-        while a <= base:
-            a, b = b, a + n
-        for x, y in P.edge_ids:
-            if find_embedding(P, H, (x, y), (a, b), base) is not None:
-                return True
-    return False
 
 
 def embedding_is_valid(host: PatternGraph, pattern: PatternGraph,

@@ -1,39 +1,55 @@
 """Exact extremal values and avoider counts at desk scale.
 
-Bipartite hosts are solved by one row-transfer DP (the transfer-matrix
+Every flavor is solved by one row-transfer DP (the transfer-matrix
 method, Stanley, *Enumerative Combinatorics* vol. 1, §4.7).  Host rows
-are chosen top to bottom, each one of the 2^m column masks.  The state
-after some rows is the set of partial embeddings that later rows could
-still complete: an item (j, g) says pattern rows 1..j sit on earlier
-host rows, and g holds the images of the kept columns, those a later
-pattern row touches and the nearest placed column on each side of every
-unplaced one (its anchors).  A mask that completes an item at j = k is
-forbidden, and items that cannot finish in the rows left are dropped.
-Two cuts drop items whose completions another item's include: the
-Pareto cut, where an item of the same level agrees on every column but
-the anchors that bound on one side only and leaves at least as much
+are chosen top to bottom, each one a mask: row a of a bipartite host
+holds its edges to the m columns, and row a of an ordered host is
+vertex a's right neighbourhood, a mask over the later vertices.  The
+state after some rows is the set of partial embeddings that later rows
+could still complete.  An item says that pattern rows (vertices) 1..j
+sit on earlier host rows and holds the images that still matter.  On a
+row mask an item moves in three ways:
+
+* it stays, placing nothing on this row;
+* it grows by placing row j + 1 here: the images of that row's placed
+  neighbours must be bits of the mask, and its new neighbours get
+  images among the mask's bits inside their order gaps, each leaving
+  room for the unplaced rows between;
+* it completes the pattern, which forbids the mask.
+
+The flavors differ only in those moves, in the mask width and in the
+host labels of a row's edges:
+
+* bipartite: masks have m bits.  An item holds the kept column images,
+  those a later pattern row touches and the nearest placed column on
+  each side of every unplaced one (its anchors).  Images are absolute,
+  so a staying item is unchanged.  Placing the last pattern row
+  completes the pattern.
+* ordered: with r rows left the mask has r - 1 bits.  An item holds an
+  offset from the current row for every unplaced vertex with a placed
+  neighbour (a commitment).  A staying item shifts every offset down by
+  one, so the next vertex can take a row only when it is uncommitted or
+  committed to offset 0.  Placing the last vertex with a later
+  neighbour completes the pattern.  Offsets are relative, so one table
+  serves every n.
+* cyclic: a host avoids a pattern exactly when its linear reading
+  avoids every rotation of it (``graphs.rotate_cyclic``) read as an
+  ordered pattern, so a cyclic solve is the ordered DP over the set of
+  distinct rotations.
+
+Items that cannot finish in the rows left are dropped.  For bipartite
+hosts two cuts drop items whose completions another item's include:
+the Pareto cut, where an item of the same level agrees on every column
+but the anchors that bound on one side only and leaves at least as much
 room there, and the growth cut, where everything an item can grow into
 next is already in the state.  The maximum and the avoider count are
-recurrences over (rows left, state), memoised per (pattern, m) and
-shared by every n.  The maximum tries masks largest first and stops
-once a mask plus the optimum of the rows below cannot beat the best so
-far.  The witness is rebuilt row by row, each row the first mask that
-still reaches the optimum in the order that makes the sorted edge tuple
-the lexicographically least among optimal hosts.
-
-Ordered and cyclic hosts are solved by branch and bound over candidate
-edges in lexicographic order.  Each branch decides the next candidate
-in or out; including an edge triggers a containment check restricted
-to embeddings through that edge, which is sound because the parent host
-was avoidance-certified.  The first leaf reached by the include-first
-walk is the greedy saturation, which seeds the best value so far.  A
-branch is cut when no leaf below it can beat that value: besides the
-count of cells left, two suffix bounds in the manner of Füredi and
-Hajnal (1992) cap a branch at candidate (a, b) by the values ex(k) of
-the same search on fewer vertices, since every sub-host of an avoiding
-host avoids the pattern.  Because subsets are visited in lexicographic
-order, the witness kept for the optimum is the lexicographically least
-one here too, and values and witnesses are reproducible run to run.
+recurrences over (rows left, state), memoised per table and shared by
+every n.  The maximum tries masks largest first and stops once a mask
+plus the optimum of the rows below cannot beat the best so far.  The
+witness is rebuilt row by row, each row the first mask that still
+reaches the optimum in the order that makes the sorted edge tuple the
+lexicographically least among optimal hosts, so values and witnesses
+are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -45,8 +61,9 @@ from functools import cache, lru_cache
 
 from .catalog import as_permutation
 from .config import DEFAULT_CAPS, SolverCaps
-from .containment import HostIndex, contains, pattern_index, uses_edge
-from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph
+from .containment import contains
+from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
+                     rotate_cyclic)
 
 
 class SizeCapError(ValueError):
@@ -98,13 +115,14 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
     if n < 0 or m < 0:
         raise GraphValueError("negative part size")
 
-    if flavor != BIPARTITE:
-        value, edges = _search(flavor, n, pattern)
-    elif pattern.n_u > n or pattern.n_v > m:
-        # No copy fits, so the full host is the least optimal one.
-        value, edges = n * m, [(u, v) for u in range(1, n + 1) for v in range(1, m + 1)]
+    if flavor == CYCLIC:
+        # A cyclic host avoids the pattern exactly when its linear
+        # reading avoids every rotation of it as an ordered pattern.
+        patterns = tuple(dict.fromkeys(rotate_cyclic(pattern, s)
+                                       for s in range(pattern.n_u)))
     else:
-        value, edges = _row_table(pattern, m)[0](n)
+        patterns = (pattern,)
+    value, edges = _row_table(patterns, m if flavor == BIPARTITE else None)[0](n)
     rec = ExtremalRecord(flavor, pattern, n, m, value,
                          PatternGraph(flavor, n, m, tuple(edges)))
     if not rec.witness_ok():
@@ -120,32 +138,36 @@ def _check_size_cap(flavor: str, n: int, m: int | None, caps: SolverCaps):
         raise SizeCapError(f"size cap exceeded: {size} over {flavor} cap {cap}")
 
 
-@lru_cache(maxsize=256)
-def _row_table(pattern, m):
-    """The row-transfer DP of a bipartite pattern on hosts with m columns.
-
-    Returns ``(optimum, count)``: ``optimum(n)`` is the maximum edge
-    count of an avoiding n x m host with its least witness edges, and
-    ``count(n)`` the number of avoiding n x m hosts.  Host column h is
-    bit h - 1 of a row mask.  An item is the flat tuple (j, *g) and a
-    state the bit set of its items, each item's bit given out on first
-    sight.
-
-    Pattern row j + 1 extends an item by giving its new columns images
-    inside their order gaps; each image leaves room for the unplaced
-    columns between it and its neighbours, so the isolated columns fit
-    once every row is placed.  Every memo is a ``functools`` cache in
-    the returned closures, so clearing this ``lru_cache`` drops them
-    all.
-    """
-    k, l = pattern.n_u, pattern.n_v
-    masks = range(1 << m)
+@cache
+def _mask_orders(w):
+    """Row masks of width w: their sizes, largest first, and in witness
+    order.  A longer row with the same prefix sorts first in witness
+    order: its sorted edge tuple continues in this row, the shorter one
+    in a later row."""
+    masks = range(1 << w)
     sizes = [bin(S).count("1") for S in masks]
     by_size = sorted(masks, key=sizes.__getitem__, reverse=True)
-    # A longer row with the same prefix sorts first: its sorted edge
-    # tuple continues in this row, the shorter one in a later row.
-    by_witness = sorted(masks, key=lambda S: [h for h in range(1, m + 1)
-                                              if S >> (h - 1) & 1] + [m + 1])
+    by_witness = sorted(masks, key=lambda S: [h for h in range(1, w + 1)
+                                              if S >> (h - 1) & 1] + [w + 1])
+    return sizes, by_size, by_witness
+
+
+def _column_steps(pattern):
+    """The bipartite stages: stage j places pattern row j + 1.
+
+    Returns ``(k, steps, roles, origins)`` in the form ``_row_table``
+    reads (see ``_vertex_steps``).  An item holds the kept column
+    images: a column is kept while a later row touches it or it anchors
+    unplaced columns (it is the nearest placed column on a side of
+    one).  ``roles[j]`` names the positions of level j's kept columns:
+    fixed when a later row touches it or it anchors on both sides, low
+    when it anchors only the unplaced columns after it (better smaller)
+    and high when only those before it (better larger).  Row j + 1's
+    new columns get images inside their order gaps, each leaving room
+    for the unplaced columns between it and its neighbours, so the
+    isolated columns fit once every row is placed.
+    """
+    k, l = pattern.n_u, pattern.n_v
     # The first and last pattern row touching each column; an isolated
     # column is never placed, and the sentinels 0 and l + 1 always are.
     first, last = [k + 1] * (l + 2), [0] * (l + 2)
@@ -153,10 +175,6 @@ def _row_table(pattern, m):
         first[b] = min(first[b], a)
         last[b] = a
     first[0] = first[l + 1] = 0
-    # Per level j, the kept columns and their roles (positions in an
-    # item): a column is fixed when a later row touches it or it anchors
-    # unplaced columns on both sides; an anchor of the unplaced columns
-    # after it only (low) is better smaller, before it only (high) larger.
     kept, roles = [], []
     for j in range(k + 1):
         cols, fixed, low, high = [], [], [], []
@@ -168,10 +186,6 @@ def _row_table(pattern, m):
                  ).append(len(cols))
         kept.append(cols)
         roles.append((fixed, low, high))
-    # Per pattern row j + 1: the item positions of its placed columns,
-    # its new columns with their neighbouring placed columns (0 and
-    # l + 1 for none) and their positions, and where each kept column
-    # of level j + 1 comes from in the item followed by the new images.
     steps = []
     for j, cols in enumerate(kept[:-1]):
         row = [b for a, b in pattern.edges if a == j + 1]
@@ -185,14 +199,96 @@ def _row_table(pattern, m):
                 b += 1
             gaps.append((c, a, cols.index(a) if a else None,
                          b, cols.index(b) if b <= l else None))
-        steps.append(([cols.index(c) for c in row if first[c] <= j], gaps,
+        steps.append((j, None, [cols.index(c) for c in row if first[c] <= j], gaps,
                       [len(cols) + new.index(c) if c in new else cols.index(c)
-                       for c in kept[j + 1]]))
+                       for c in kept[j + 1]], j + 1 == k, 0))
+    return k, steps, roles, [0]
 
-    # Items by bit, with their class keys and the coordinates where
-    # smaller is better; the items of each level and up, those with
-    # such coordinates and those that can grow, as bit sets.
-    items, ids, vectors, at_least = [], {}, [], [0] * (k + 1)
+
+def _vertex_steps(patterns):
+    """The ordered stages of a set of patterns on k vertices each.
+
+    Returns ``(k, steps, roles, origins)``.  A pattern's stage j places
+    vertex v = j + 1 on the current row; ``origins`` lists each
+    pattern's stage 0 and stage s + 1 follows stage s.  An item of stage
+    j holds an offset from the current row for each committed vertex,
+    an unplaced vertex with a placed neighbour, in vertex order.
+    ``steps[s]`` is ``(j, at, old, gaps, src, done, tight)``:
+
+    * ``at``: v's position among the committed (0) when v is committed;
+      v takes the row only at offset 0;
+    * ``old``: positions of v's committed later neighbours, whose
+      offsets must be bits of the mask;
+    * ``gaps``: per uncommitted later neighbour q, ascending, ``(q, a,
+      pa, b, pb)``: its nearest placed or committed vertices a before
+      it (v itself at offset 0, ``pa`` None) and b after it (the
+      sentinel k + 1 one past the mask, ``pb`` None), each with its
+      position; q's offset leaves room for the vertices between;
+    * ``src``: where each offset of the next stage comes from, in the
+      committed offsets followed by the new ones;
+    * ``done``: v is the pattern's last vertex with a later neighbour,
+      so placing it completes the pattern;
+    * ``tight``: staying shifts every offset down by one, which leaves
+      room for the unplaced vertices before the first committed one
+      only while its offset is at least ``tight``.
+
+    ``roles`` is None per stage: the Pareto and growth cuts are
+    bipartite only.
+    """
+    k = patterns[0].n_u
+    steps, origins = [], []
+    for pattern in patterns:
+        later = [[] for _ in range(k + 1)]
+        first = [k + 1] * (k + 1)
+        for a, b in pattern.edges:
+            later[a].append(b)
+            first[b] = min(first[b], a)
+        origins.append(len(steps))
+        for j in range(pattern.edges[-1][0]):
+            v = j + 1
+            held = [q for q in range(v, k + 1) if first[q] <= j]
+            new = [q for q in later[v] if first[q] == v]
+            gaps = []
+            for q in new:
+                a = max([c for c in held if c < q], default=v)
+                b = min([c for c in held if c > q], default=k + 1)
+                gaps.append((q, a, None if a == v else held.index(a),
+                             b, held.index(b) if b <= k else None))
+            nxt = [q for q in range(v + 1, k + 1) if first[q] <= v]
+            steps.append((j, 0 if held and held[0] == v else None,
+                          [held.index(q) for q in later[v] if q in held], gaps,
+                          [held.index(q) if q in held else len(held) + new.index(q)
+                           for q in nxt],
+                          v == pattern.edges[-1][0], held[0] - j if held else 0))
+    return k, steps, [None] * len(steps), origins
+
+
+@lru_cache(maxsize=256)
+def _row_table(patterns, m):
+    """The row-transfer DP of hosts avoiding every pattern of ``patterns``.
+
+    ``m`` is the column count of bipartite hosts (one pattern), or None
+    for ordered hosts.  Returns ``(optimum, count)``: ``optimum(n)`` is
+    the maximum edge count of an avoiding n-row host with its least
+    witness edges, and ``count(n)`` the number of avoiding n-row hosts.
+    Bit t - 1 of a row mask is host column t, or the t-th vertex after
+    the row's own.  An item is the flat tuple (stage, *g), g its images
+    (columns, or offsets from the current row), and a state the bit set
+    of its items, each item's bit given out on first sight.  Every memo
+    is a ``functools`` cache in the returned closures, so clearing this
+    ``lru_cache`` drops them all.
+    """
+    if m is None:
+        k, steps, roles, origin_stages = _vertex_steps(patterns)
+        fits, shift = True, 1
+    else:
+        k, steps, roles, origin_stages = _column_steps(patterns[0])
+        fits, shift = patterns[0].n_v <= m, 0
+
+    # Items by bit, with their levels, class keys and the coordinates
+    # where smaller is better; the items of each level and up, those
+    # with such coordinates and those that can grow, as bit sets.
+    items, ids, levels, vectors, at_least = [], {}, [], [], [0] * (k + 1)
     free = growing = 0
 
     def ident(item):
@@ -201,45 +297,62 @@ def _row_table(pattern, m):
         if item not in ids:
             i = ids[item] = len(items)
             items.append(item)
-            fixed, low, high = roles[item[0]]
-            vectors.append(((item[0],) + tuple(item[p] for p in fixed),
-                            tuple(item[p] for p in low) + tuple(-item[p] for p in high)))
-            for j in range(item[0] + 1):
-                at_least[j] |= 1 << i
-            free |= bool(low or high) << i
-            growing |= (item[0] + 1 < k) << i
+            j = steps[item[0]][0]
+            levels.append(j)
+            for x in range(j + 1):
+                at_least[x] |= 1 << i
+            if roles[item[0]]:
+                fixed, low, high = roles[item[0]]
+                vectors.append(((j,) + tuple(item[p] for p in fixed),
+                                tuple(item[p] for p in low) + tuple(-item[p] for p in high)))
+                free |= bool(low or high) << i
+                growing |= (j + 1 < k) << i
+            else:
+                vectors.append(None)
         return ids[item]
 
     @cache
-    def moves(i):
-        """The masks that complete item i as a bit set, or else per mask
-        the state of the items it grows into."""
-        j, g = items[i][0], items[i][1:]
-        old, gaps, src = steps[j]
+    def moves(i, w):
+        """On a row mask of width w: the masks that complete item i as a
+        bit set, the bit of what it becomes when it stays (0 if it
+        cannot), and per mask the state of the items it grows into (None
+        if it cannot grow)."""
+        stage, g = items[i][0], items[i][1:]
+        _, at, old, gaps, src, done, tight = steps[stage]
         found = []
 
         def walk(t, prev_c, prev_h, need, images):
             if t == len(gaps):
                 both = g + images
-                found.append((need, (j + 1,) + tuple(both[s] for s in src)))
+                found.append((need, (stage + 1,) + tuple(both[s] - shift for s in src)))
                 return
             c, a, pa, b, pb = gaps[t]
-            lo = prev_h + c - prev_c if prev_c > a else (g[pa] if a else 0) + c - a
-            hi = (g[pb] if b <= l else m + 1) - (b - c)
+            lo = prev_h + c - prev_c if prev_c > a else (0 if pa is None else g[pa]) + c - a
+            hi = (w + 1 if pb is None else g[pb]) - (b - c)
             for h in range(lo, hi + 1):
                 walk(t + 1, c, h, need | 1 << (h - 1), images + (h,))
 
-        walk(0, 0, 0, sum(1 << (g[p] - 1) for p in old), ())
-        if j + 1 == k:
+        if at is None or g[at] == 0:
+            walk(0, 0, 0, sum(1 << (g[p] - 1) for p in old), ())
+        if not shift:
+            keep = 1 << i
+        elif g and g[0] < tight:
+            keep = 0
+        else:
+            keep = 1 << ident((stage,) + tuple(x - 1 for x in g))
+        masks = range(1 << w)
+        if done:
             return sum(1 << S for S in masks
-                       if any(need & S == need for need, _ in found)), None
+                       if any(need & S == need for need, _ in found)), keep, None
+        if not found:
+            return 0, keep, None
         table = [0] * len(masks)
         for need, nxt in found:
             bit = 1 << ident(nxt)
             for S in masks:
                 if need & S == need:
                     table[S] |= bit
-        return 0, table
+        return 0, keep, table
 
     def bits(state):
         while state:
@@ -267,42 +380,48 @@ def _row_table(pattern, m):
 
         out = state
         for i in bits(state & growing):
-            missing = moves(i)[1][-1] & ~state
+            table = moves(i, m)[2]  # None for an item that can never grow
+            missing = (table[-1] if table else 0) & ~state
             if not missing & ~free and all(map(dominated, bits(missing))):
                 out ^= 1 << i
         return out
 
-    def expand(state, left):
-        """The masks a state forbids and its successor after a row with
-        mask S, ``left`` rows still to come."""
-        lowest = k - left  # the lowest level that can still finish
-        banned, grow = 0, []
+    def expand(state, r):
+        """The width of a row with r rows left (this one included), the
+        masks the state forbids there and its successor after the row
+        with mask S."""
+        w = r - 1 if m is None else m
+        lowest = k - r + 1  # the lowest level that can still finish
+        banned = stay = 0
+        grow = []
         for i in bits(state):
-            forbid, table = moves(i)
+            forbid, keep, table = moves(i, w)
             banned |= forbid
-            if table and items[i][0] + 1 >= lowest:
+            stay |= keep
+            if table and levels[i] + 1 >= lowest:
                 grow.append(table)
-        stay = state & at_least[max(lowest, 0)]
+        stay &= at_least[max(lowest, 0)]
 
         def successor(S):
             out = stay
             for table in grow:
                 out |= table[S]
-            return reduce(out)
+            return reduce(out) if out & (free | growing) else out
 
-        return banned, successor
+        return w, banned, successor
 
-    origin = 1 << ident((0,))
+    origin = sum(1 << ident((s,)) for s in origin_stages)
 
     def start(r):
-        return origin if k <= r and l <= m else 0
+        return origin if k <= r and fits else 0
 
     @cache
     def best(r, state):
         """The optimum of ``state`` with r rows left."""
         if r == 0:
             return 0
-        banned, successor = expand(state, r - 1)
+        w, banned, successor = expand(state, r)
+        sizes, by_size, _ = _mask_orders(w)
         # No state with r - 1 rows left beats the start state's optimum.
         bound = best(r - 1, start(r - 1))
         top = -math.inf
@@ -318,15 +437,17 @@ def _row_table(pattern, m):
     def count(r, state):
         if r == 0:
             return 1
-        banned, successor = expand(state, r - 1)
-        return sum(count(r - 1, successor(S)) for S in masks if not banned >> S & 1)
+        w, banned, successor = expand(state, r)
+        return sum(count(r - 1, successor(S)) for S in range(1 << w)
+                   if not banned >> S & 1)
 
     def optimum(n):
         state = start(n)
         value = target = best(n, state)
         edges = []
         for r in range(n, 0, -1):
-            banned, successor = expand(state, r - 1)
+            w, banned, successor = expand(state, r)
+            sizes, _, by_witness = _mask_orders(w)
             bound = best(r - 1, start(r - 1))
             for S in by_witness:
                 if banned >> S & 1 or sizes[S] + bound < target:
@@ -334,76 +455,15 @@ def _row_table(pattern, m):
                 nxt = successor(S)
                 if sizes[S] + best(r - 1, nxt) == target:
                     break
-            edges += [(n - r + 1, h) for h in range(1, m + 1) if S >> (h - 1) & 1]
+            # Row a's edges: to column t, or to the t-th vertex after a.
+            a = n - r + 1
+            base = a if m is None else 0
+            edges += [(a, base + t) for t in range(1, w + 1) if S >> (t - 1) & 1]
             target -= sizes[S]
             state = nxt
         return value, edges
 
     return optimum, lambda n: count(n, start(n))
-
-
-@lru_cache(maxsize=4096)
-def _search(flavor, n, pattern):
-    """Include-first DFS with incremental containment checks on ordered
-    and cyclic hosts.
-
-    One host index serves both flavors; a cyclic one covers all
-    rotations of the host (see ``HostIndex``).  Every inclusion is
-    checked only for embeddings through the new edge, which is sound
-    because the parent host avoids the pattern.
-
-    Candidates run row by row, so at candidate (a, b) every undecided
-    edge lies in the rest of row a or in the sub-host on vertices
-    a+1..n, and vertices a..n hold row a's chosen edges too.  Those
-    sub-hosts avoid the pattern, so a branch is cut when neither
-
-        chosen + min(cells left, row rest + ex[n-a])
-        chosen before row a + ex[n-a+1]
-
-    can beat the best leaf so far.  ``ex[k]`` for k < n is this same
-    memoised search on k vertices, so a sub-host too small for a copy
-    comes back full.  ``ex[n]`` is the cell count, standing in for the
-    value being computed.  Both are upper bounds on every leaf below,
-    so the first include-first leaf reaching the optimum is never cut
-    and the witness stays the lexicographically least; before any leaf
-    (best = -1) neither test can hold.
-
-    Results are memoised per (flavor, n, pattern) and shared between
-    top-level solves and the sub-searches behind ``ex``, so a growth
-    table ascending n solves each size once.
-    """
-    candidates = list(itertools.combinations(range(1, n + 1), 2))
-    total = len(candidates)
-    ex = [_search(flavor, k, pattern)[0] for k in range(n)] + [total]
-    P = pattern_index(pattern)
-    H = HostIndex(flavor, n, 0)
-    chosen = []
-    best = -1
-    best_edges = ()
-
-    def walk(i, base):
-        nonlocal best, best_edges
-        c = len(chosen)
-        if c + total - i <= best:
-            return
-        if i == total:
-            best, best_edges = c, tuple(chosen)
-            return
-        e = candidates[i]
-        a, b = e
-        if c + n - b + 1 + ex[n - a] <= best or base + ex[n - a + 1] <= best:
-            return
-        row_ends = b == n
-        H.add_edge(e)
-        if not uses_edge(P, H, e):
-            chosen.append(e)
-            walk(i + 1, c + 1 if row_ends else base)
-            chosen.pop()
-        H.remove_edge(e)
-        walk(i + 1, c if row_ends else base)
-
-    walk(0, 0)
-    return best, best_edges
 
 
 def count_avoiders(n: int, pattern: PatternGraph,
@@ -422,7 +482,7 @@ def count_avoiders(n: int, pattern: PatternGraph,
         raise GraphValueError("host size n must be non-negative")
     if n > caps.avoiders:
         raise SizeCapError(f"size cap exceeded: {n} over avoider cap {caps.avoiders}")
-    return _row_table(pattern, n)[1](n)
+    return _row_table((pattern,), n)[1](n)
 
 
 def count_avoiding_permutations(n: int, pi,
