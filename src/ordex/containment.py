@@ -19,14 +19,10 @@ its placed pattern neighbors.  When the placed vertex is itself pure,
 the cut leaves each parent only its least candidate, so such a step
 expands each parent once, by its least image (see ``find_embedding``).
 
-Cyclic containment is the same search run in windows.  An injection
-preserves the cyclic order exactly when some rotation of the host
-labeling makes it strictly increasing.  A cyclic host on n vertices is
-held as a linear host on 1..2n, where vertices x and x+n both stand for
-x, so the window base+1..base+n is the host under rotation ``base``.
-The pattern is read linearly from vertex 1, and every flavor searches
-the windows ``HostIndex.bases`` in turn: all n rotations for a cyclic
-host, the single window at 0 otherwise.
+Cyclic containment is the same search run once per distinct rotation
+of the pattern (``graphs.rotations``), shift 0 first: cutting the host
+circle at vertex 1 turns a cyclic copy into an increasing copy of one
+rotation read as an ordered pattern, and back.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .graphs import BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph
+from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, rotations
 
 
 # A step expanding a layer of more DP states than this keeps only the
@@ -104,7 +100,6 @@ class PatternIndex:
         self.idx = list(range(1, pu + 1)) + list(range(1, pv + 1))
         self.part_count = (pu, pv)
         self.nbrs = [[] for _ in range(self.n)]
-        # A single-part (ordered or cyclic) pattern is read linearly.
         second = pu if pattern.flavor == BIPARTITE else 0
         for a, b in pattern.edges:
             x, y = a - 1, second + b - 1
@@ -235,29 +230,20 @@ class HostIndex:
     bipartite hosts.  ``deg[part][x]`` is the degree of x in the host.
     Single-part hosts alias both entries of ``sizes``, ``adj`` and
     ``deg`` to one vertex set, so adding an edge needs no part branch.
-
-    A cyclic host of n vertices (``wrap`` = n, otherwise 0) is held on
-    vertices 1..2n.  Its edge (a, b) is stored as (a, b), (b, a+n) and
-    (a+n, b+n), and x+n keeps the degree of x, so the window
-    base+1..base+n, with its masks and degrees, is exactly the host
-    relabeled to start at vertex base+1.  ``bases`` lists the windows to
-    search: every rotation of a cyclic host, the one window at 0 of any
-    other.  Edges are given in host labels, a single-part edge lower
-    end first.
+    A cyclic host is held as its linear reading.  Edges are given in
+    host labels, a single-part edge lower end first.
     """
 
-    __slots__ = ("sizes", "adj", "deg", "wrap", "bases")
+    __slots__ = ("sizes", "adj", "deg")
 
     def __init__(self, flavor: str, n_u: int, n_v: int, edges=()):
-        self.wrap = n_u if flavor == CYCLIC else 0
-        self.bases = range(n_u) if flavor == CYCLIC else (0,)
         if flavor == BIPARTITE:
             self.sizes = (n_u, n_v)
             self.adj = ([0] * (n_u + 1), [0] * (n_v + 1))
             self.deg = ([0] * (n_u + 1), [0] * (n_v + 1))
         else:
-            adj = [0] * (n_u + self.wrap + 1)
-            deg = [0] * (n_u + self.wrap + 1)
+            adj = [0] * (n_u + 1)
+            deg = [0] * (n_u + 1)
             self.sizes = (n_u, n_u)
             self.adj = (adj, adj)
             self.deg = (deg, deg)
@@ -275,22 +261,14 @@ class HostIndex:
         adj[1][b] |= 1 << a
         deg[0][a] += 1
         deg[1][b] += 1
-        n = self.wrap
-        if n:
-            adj, deg = adj[0], deg[0]
-            adj[b] |= 1 << (a + n)
-            adj[a + n] |= (1 << b) | (1 << (b + n))
-            adj[b + n] |= 1 << (a + n)
-            deg[a + n] += 1
-            deg[b + n] += 1
 
 
-def find_embedding(P: PatternIndex, H: HostIndex, base: int = 0) -> list[int] | None:
-    """Run the layered search in the window after ``base`` (one of
-    ``H.bases``); returns flat images (vertex id -> host) or None.
+def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
+    """Run the layered search; returns flat images (vertex id -> host)
+    or None.
 
-    Only host vertices base+1..base+size of each part are used; images
-    are index labels, past n in a rotated cyclic window.  A state's
+    The pattern and the host are both read linearly, a cyclic one from
+    vertex 1 (``contains`` searches the rotations).  A state's
     candidates for the next vertex are one bitmask: the step's pool (the
     window up to the vertex's upper bound) with the bits below the
     window anchor cleared, ANDed with the host neighborhood of each
@@ -308,8 +286,7 @@ def find_embedding(P: PatternIndex, H: HostIndex, base: int = 0) -> list[int] | 
     ``_pareto_reduce`` cuts its layer.  The cut is sound at any layer
     size, so the threshold decides only which embedding is found first.
     Deterministic: layers are expanded in insertion order and candidates
-    ascend, so the first witness found is always the same, and moving
-    the window shifts every state without reordering any.
+    ascend, so the first witness found is always the same.
     """
     part_count = P.part_count
     sizes = H.sizes
@@ -323,7 +300,7 @@ def find_embedding(P: PatternIndex, H: HostIndex, base: int = 0) -> list[int] | 
     for (pt, prev_pos, get_head, get_tail, get_rest, pending_pos, need_deg, pure,
          self_pure, hi_off) in P.plan:
         # Candidates allowed by the window, the same for every state.
-        pool = (2 << (base + sizes[pt] - hi_off)) - (2 << base)
+        pool = (2 << (sizes[pt] - hi_off)) - 2
         degs = H.deg[pt]
         cut = pure and len(states) > REDUCE_ABOVE
         if cut and self_pure:
@@ -454,20 +431,18 @@ def contains(host: PatternGraph, pattern: PatternGraph) -> Embedding | None:
     """Embedding of pattern in host, or None if the host avoids it.
 
     The pattern must have at least one edge; host and pattern flavors
-    must agree.  Cyclic hosts are tried under all rotations and the
-    returned embedding refers to the original labeling.
+    must agree.  The search runs once per rotation of the pattern, and
+    the returned embedding refers to the pattern's own labeling.
     """
     _check_pair(host, pattern)
-    P = pattern_index(pattern)
     H = HostIndex.of(host)
-    n = host.n_u
-    for base in H.bases:
-        img = find_embedding(P, H, base=base)
+    for s, rotated in rotations(pattern):
+        img = find_embedding(pattern_index(rotated), H)
         if img is not None:
-            if base:
-                img = [(h - 1) % n + 1 for h in img]
-            pu = P.part_count[0]
-            return Embedding(tuple(img[:pu]), tuple(img[pu:]))
+            # Rotated vertex i is pattern vertex i + s (mod k): turn the
+            # images back by s, a no-op at s = 0 (every other flavor).
+            img = img[-s:] + img[:-s]
+            return Embedding(tuple(img[:pattern.n_u]), tuple(img[pattern.n_u:]))
     return None
 
 

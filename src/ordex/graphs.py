@@ -13,6 +13,9 @@ Three flavors share one immutable representation:
 Indices are 1-based in every public API.  Edges are stored as a sorted
 tuple, so equal graphs compare, hash and serialize identically.
 
+``rotations`` is the one table of a cyclic pattern's distinct
+rotations, each read as an ordered graph, which containment and the
+solver read; the circular chromatic number streams the same readings.
 ``variants`` is the one table of a bipartite pattern's eight images
 under row reversal, column reversal and part swap, which the bound
 engine searches and the record cache probes.  Every op is an
@@ -170,19 +173,14 @@ def circular_chromatic_number(g: PatternGraph) -> int:
 
     Any optimal circular partition has an interval boundary, and cutting
     the circle there turns it into a linear partition; therefore the
-    minimum over all n rotations of the greedy linear sweep is exact.
+    minimum of the greedy linear sweep over the rotations is exact.
+    They are streamed, not tabled: n rotations hold n times the edges.
     """
     if g.flavor != CYCLIC:
         raise GraphValueError("circular chromatic number is defined on cyclic graphs")
-    n = g.n_u
-    if n == 0 or not g.edges:
+    if g.n_u == 0 or not g.edges:
         return 1
-    best = n
-    for r in range(n):
-        rotated = rotate_cyclic(g, r)
-        linear = PatternGraph(ORDERED, n, 0, rotated.edges)
-        best = min(best, interval_chromatic_number(linear))
-    return best
+    return min(interval_chromatic_number(h) for _, h in _linear_readings(g))
 
 
 def rotate_cyclic(g: PatternGraph, r: int) -> PatternGraph:
@@ -194,6 +192,28 @@ def rotate_cyclic(g: PatternGraph, r: int) -> PatternGraph:
         nb = (b - 1 - r) % n + 1
         edges.append((na, nb) if na < nb else (nb, na))
     return PatternGraph(CYCLIC, n, 0, tuple(edges))
+
+
+@lru_cache(maxsize=512)
+def rotations(g: PatternGraph) -> tuple[tuple[int, PatternGraph], ...]:
+    """The ``(r, image)`` pairs of g's distinct rotations in shift
+    order, each image ``rotate_cyclic(g, r)`` read as an ordered graph
+    and r the least shift giving it.  A graph of any other flavor is its
+    own only rotation, at shift 0.  Shared between callers, which is
+    safe because every part is immutable."""
+    if g.flavor != CYCLIC:
+        return ((0, g),)
+    images = {}
+    for r, h in _linear_readings(g):
+        images.setdefault(h, r)
+    return tuple((r, h) for h, r in images.items())
+
+
+def _linear_readings(g: PatternGraph):
+    """Every ``(r, rotate_cyclic(g, r) read as an ordered graph)`` pair,
+    by shift; the empty graph is its own rotation."""
+    for r in range(max(g.n_u, 1)):
+        yield r, PatternGraph(ORDERED, g.n_u, 0, rotate_cyclic(g, r).edges)
 
 
 # ---------------------------------------------------------------------------

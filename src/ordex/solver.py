@@ -33,9 +33,9 @@ host labels of a row's edges:
   neighbour completes the pattern.  Offsets are relative, so one table
   serves every n.
 * cyclic: a host avoids a pattern exactly when its linear reading
-  avoids every rotation of it (``graphs.rotate_cyclic``) read as an
-  ordered pattern, so a cyclic solve is the ordered DP over the set of
-  distinct rotations.
+  avoids every rotation of it read as an ordered pattern, so a cyclic
+  solve is the ordered DP over the distinct rotations
+  (``graphs.rotations``).
 
 Items that cannot finish in the rows left are dropped.  For bipartite
 hosts two cuts drop items whose completions another item's include:
@@ -62,8 +62,7 @@ from functools import cache, lru_cache
 from .catalog import as_permutation
 from .config import DEFAULT_CAPS, SolverCaps
 from .containment import contains
-from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
-                     rotate_cyclic)
+from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, rotations
 
 
 class SizeCapError(ValueError):
@@ -115,13 +114,7 @@ def max_edges_avoiding(flavor: str, n: int, pattern: PatternGraph,
     if n < 0 or m < 0:
         raise GraphValueError("negative part size")
 
-    if flavor == CYCLIC:
-        # A cyclic host avoids the pattern exactly when its linear
-        # reading avoids every rotation of it as an ordered pattern.
-        patterns = tuple(dict.fromkeys(rotate_cyclic(pattern, s)
-                                       for s in range(pattern.n_u)))
-    else:
-        patterns = (pattern,)
+    patterns = tuple(h for _, h in rotations(pattern))
     value, edges = _row_table(patterns, m if flavor == BIPARTITE else None)[0](n)
     rec = ExtremalRecord(flavor, pattern, n, m, value,
                          PatternGraph(flavor, n, m, tuple(edges)))

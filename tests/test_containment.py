@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from ordex.catalog import complete_ordered, keszegh_h, sailboat
 from ordex.constructions import power_distance_graph
 from ordex.containment import (EdgelessPatternError, FlavorMismatchError,
-                               contains, embedding_is_valid)
+                               contains, embedding_is_valid, find_embedding)
 from ordex.graphs import (bipartite_graph, cyclic_graph, ordered_graph,
-                          rotate_cyclic)
+                          rotate_cyclic, rotations)
 
 from oracles import brute_force_embedding
 from strategies import bipartite_graphs_, cyclic_graphs, ordered_graphs
@@ -102,6 +102,9 @@ def test_oracle_agreement_bipartite(host, pattern):
 
 
 @given(*CYCLIC_PAIRS)
+# The only copy is of the rotation at shift 3, and pattern vertex 2 is
+# isolated, so every image must be mapped back to its own vertex.
+@example(cyclic_graph(6, [(2, 4), (4, 6)]), cyclic_graph(4, [(1, 3), (1, 4)]))
 @settings(max_examples=150, deadline=None)
 def test_oracle_agreement_cyclic(host, pattern):
     _agrees_with_oracle(host, pattern)
@@ -167,9 +170,10 @@ def test_cyclic_containment_is_containment_of_a_rotation():
     """A cyclic host contains a pattern exactly when its linear reading,
     as an ordered host, contains some rotation of the pattern read as an
     ordered pattern: cutting the circle at host vertex 1 turns a cyclic
-    copy into an increasing copy of one rotation, and back.  The exact
-    solver's cyclic path relies on this, so it is checked here by brute
-    force alone on seeded pairs of both answers."""
+    copy into an increasing copy of one rotation, and back.  Cyclic
+    ``contains`` and the exact solver's cyclic path both rely on this,
+    so it is checked here by brute force alone on seeded pairs of both
+    answers."""
     rng = random.Random(2026)
     answers = []
     for _ in range(300):
@@ -185,6 +189,24 @@ def test_cyclic_containment_is_containment_of_a_rotation():
         assert cyclic == rotated, (host, pattern)
         answers.append(cyclic)
     assert 50 < sum(answers) < 250
+
+
+def _find_calls(host, pattern):
+    """Searches one cyclic ``contains`` runs, and its answer."""
+    with patch("ordex.containment.find_embedding", wraps=find_embedding) as spy:
+        emb = contains(host, pattern)
+    return spy.call_count, emb
+
+
+def test_cyclic_contains_searches_each_distinct_rotation_once():
+    """An avoiding cyclic host costs one search per distinct rotation of
+    the pattern, whatever its size."""
+    fan = cyclic_graph(30, [(1, j) for j in range(2, 31)])
+    assert _find_calls(fan, cyclic_graph(4, [(1, 3), (2, 4)])) == (1, None)
+    matching = cyclic_graph(30, [(a, a + 1) for a in range(1, 30, 2)])
+    path = cyclic_graph(3, [(1, 2), (2, 3)])
+    assert len(rotations(path)) == 3
+    assert _find_calls(matching, path) == (3, None)
 
 
 def _planted_host(rng, pattern, n, p):

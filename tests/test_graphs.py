@@ -9,6 +9,7 @@ from ordex.graphs import (BIPARTITE, VARIANT_SEQUENCES, GraphValueError,
                           connected_components, cyclic_graph,
                           induced_subgraph, interval_chromatic_number,
                           ordered_graph, remove_isolated_vertices,
+                          rotate_cyclic, rotations,
                           underlying_shortest_cycle, variant_key, variants)
 from ordex.catalog import (generalized_matching, keszegh_h, ordered_turan,
                            permutation_matching, sailboat)
@@ -61,6 +62,35 @@ def test_circular_at_most_interval():
     g = cyclic_graph(6, [(1, 2), (3, 4), (5, 6), (1, 6)])
     linear = interval_chromatic_number(ordered_graph(6, g.edges))
     assert circular_chromatic_number(g) <= linear
+
+
+def test_rotations_of_symmetric_patterns_are_one():
+    for g in (cyclic_graph(4, [(1, 3), (2, 4)]),
+              cyclic_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])):
+        assert rotations(g) == ((0, ordered_graph(4, g.edges)),)
+
+
+def test_rotations_of_a_path():
+    g = cyclic_graph(3, [(1, 2), (2, 3)])
+    assert rotations(g) == ((0, ordered_graph(3, [(1, 2), (2, 3)])),
+                            (1, ordered_graph(3, [(1, 2), (1, 3)])),
+                            (2, ordered_graph(3, [(1, 3), (2, 3)])))
+
+
+@given(cyclic_graphs(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_rotations_are_the_distinct_rotations_at_least_shift(g):
+    # The reference rotates by every shift directly, bypassing the table,
+    # and keeps the first shift giving each ordered image.
+    shifts = {}
+    for r in range(max(g.n_u, 1)):  # the empty graph is its own rotation
+        shifts.setdefault(ordered_graph(g.n_u, rotate_cyclic(g, r).edges), r)
+    assert rotations(g) == tuple((r, h) for h, r in shifts.items())
+
+
+def test_rotations_of_other_flavors_are_the_graph():
+    for g in (ordered_graph(3, [(1, 2), (2, 3)]), sailboat()):
+        assert rotations(g) == ((0, g),)
 
 
 def test_variants_single_edge():
