@@ -18,6 +18,10 @@ state's candidates are its window ANDed with the host neighborhoods of
 its placed pattern neighbors.  When the placed vertex is itself pure,
 the cut leaves each parent only its least candidate, so such a step
 expands each parent once, by its least image (see ``find_embedding``).
+A step that keeps the whole boundary and the parent step's one pure
+coordinate, placing a vertex that is not pure, skips the Pareto pass
+after a cut parent layer: two of its states in one class come from one
+parent with one image, so the pass would keep every state, in order.
 
 Cyclic containment is the same search run once per distinct rotation
 of the pattern (``graphs.rotations``), shift 0 first: cutting the host
@@ -79,9 +83,19 @@ class PatternIndex:
     how to project the previous boundary onto the next one (before and
     after the placed vertex, and both together), the degree the image
     needs, the Pareto-reducible coordinates, whether the placed vertex
-    is one of them and the offset of the upper window bound from the end
-    of the host part.  ``self_pos[t]`` is where step t's placed vertex
-    sits in the boundary after it.
+    is one of them, the three flags below and the offset of the upper
+    window bound from the end of the host part.  ``self_pos[t]`` is
+    where step t's placed vertex sits in the boundary after it.
+
+    - ``injective``: the step keeps every coordinate of the previous
+      boundary, so distinct parents have distinct children.
+    - ``inherited``: the step is injective, its placed vertex is not
+      pure, and its one pure coordinate is the same vertex as the
+      parent step's one pure coordinate.
+    - ``shared``: the step is window-only (no pattern neighbor of the
+      placed vertex is placed yet) and the previous boundary holds more
+      than its window anchor, so parents with one anchor image share
+      one candidate mask, a whole window.
 
     A pure (Pareto-reducible) coordinate has all its pattern neighbors
     placed, so it stays in the boundary only as the last placed vertex
@@ -176,12 +190,14 @@ class PatternIndex:
         self.self_pos = []
         placed = set()
         old_boundary = ()
+        old_pure = []
         lasts = [None, None]
         prefix = [0, 0]
         for p in order:
             pt = self.part[p]
             old_pos = {q: k for k, q in enumerate(old_boundary)}
             prev_same = lasts[pt]
+            anchor = old_pos[prev_same] if prev_same is not None else None
             pending = tuple((self.part[q], old_pos[q])
                             for q in self.nbrs[p] if q in placed)
             placed.add(p)
@@ -201,9 +217,11 @@ class PatternIndex:
             # neighbors are placed, so smaller images dominate.
             pure = [k for k, q in enumerate(boundary)
                     if all(r in placed for r in self.nbrs[q])]
+            pure_vertices = [boundary[k] for k in pure]
+            injective = len(kept) == len(old_boundary)
             self.plan.append((
                 pt,
-                old_pos[prev_same] if prev_same is not None else None,
+                anchor,
                 _tuple_getter(kept[:self_pos]),
                 _tuple_getter(kept[self_pos:]),
                 _tuple_getter(kept),
@@ -211,10 +229,15 @@ class PatternIndex:
                 self.deg[p],
                 pure,
                 self_pos in pure,
+                injective,
+                injective and len(pure) == 1 and self_pos not in pure
+                and pure_vertices == old_pure,
+                not pending and len(old_boundary) > (anchor is not None),
                 self.part_count[pt] - self.idx[p],
             ))
             self.self_pos.append(self_pos)
             old_boundary = boundary
+            old_pure = pure_vertices
 
 
 @lru_cache(maxsize=512)
@@ -283,8 +306,20 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     image, so the cut keeps at most the parent's least candidate: the
     step is expanded once per parent by least images
     (``_least_image_layer``).  Otherwise the plain walk runs and
-    ``_pareto_reduce`` cuts its layer.  The cut is sound at any layer
-    size, so the threshold decides only which embedding is found first.
+    ``_pareto_reduce`` cuts its layer, unless the step is inherited and
+    its parent layer was cut: two children in one class then come from
+    one parent class, which the cut left with one state, and carry one
+    image, so they are one state and the pass would keep every state,
+    in order.  The cut is sound at any layer size, so the threshold
+    decides only which embedding is found first.
+
+    On a shared step the mask depends only on the window anchor, so the
+    plain walk decodes it once per anchor image into its images of high
+    enough degree.  Elsewhere each parent walks its own mask: a mask cut
+    by placed neighbors' neighborhoods is narrow, and decoding it is
+    cheaper than looking it up.  An injective step stores its children
+    without a duplicate test.
+
     Deterministic: layers are expanded in insertion order and candidates
     ascend, so the first witness found is always the same.
     """
@@ -297,17 +332,23 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     # states: boundary image tuple -> the parent state's key
     states = {(): None}
     trail = []
+    cut = False
     for (pt, prev_pos, get_head, get_tail, get_rest, pending_pos, need_deg, pure,
-         self_pure, hi_off) in P.plan:
+         self_pure, injective, inherited, shared, hi_off) in P.plan:
         # Candidates allowed by the window, the same for every state.
         pool = (2 << (sizes[pt] - hi_off)) - 2
         degs = H.deg[pt]
+        parent_cut = cut
         cut = pure and len(states) > REDUCE_ABOVE
         if cut and self_pure:
             new_states = _least_image_layer(states, pool, prev_pos, pending_pos,
-                                            adj, get_head, get_tail, get_rest)
+                                            adj, get_head, get_tail, get_rest,
+                                            injective)
         else:
             new_states = {}
+            # candidate mask -> its images of high enough degree, as
+            # 1-tuples; kept on shared steps only
+            images = {}
             for key in states:
                 lo = key[prev_pos] + 1 if prev_pos is not None else 1
                 cand = pool >> lo << lo
@@ -317,19 +358,37 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
                     continue
                 head = get_head(key)
                 tail = get_tail(key)
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    h = low.bit_length() - 1
-                    if degs[h] >= need_deg:
-                        new_key = head + (h,) + tail
-                        if new_key not in new_states:
+                if shared:
+                    bits = images.get(cand)
+                    if bits is None:
+                        bits = images[cand] = []
+                        while cand:
+                            low = cand & -cand
+                            cand ^= low
+                            h = low.bit_length() - 1
+                            if degs[h] >= need_deg:
+                                bits.append((h,))
+                    for h in bits:
+                        new_key = head + h + tail
+                        if injective or new_key not in new_states:
                             new_states[new_key] = key
+                else:
+                    while cand:
+                        low = cand & -cand
+                        cand ^= low
+                        h = low.bit_length() - 1
+                        if degs[h] >= need_deg:
+                            new_key = head + (h,) + tail
+                            if injective or new_key not in new_states:
+                                new_states[new_key] = key
         if not new_states:
             return None
         # A least-image layer is already cut along the placed vertex, so
-        # it needs the Pareto pass only for a second pure coordinate.
-        if cut and (len(pure) > 1 or not self_pure):
+        # it needs the Pareto pass only for a second pure coordinate; an
+        # inherited step below a cut layer already holds one state per
+        # class.
+        if (cut and (len(pure) > 1 or not self_pure)
+                and not (inherited and parent_cut)):
             new_states = _pareto_reduce(new_states, pure)
         trail.append(new_states)
         states = new_states
@@ -345,7 +404,7 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
 
 
 def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_head,
-                       get_tail, get_rest):
+                       get_tail, get_rest, injective):
     """The Pareto-cut layer of a step placing a pure coordinate.
 
     Every state one parent produces has that parent's projection
@@ -355,7 +414,22 @@ def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_head,
     is pure, so all its pattern neighbors are placed and each candidate
     lies in the host neighborhoods of their distinct images: its degree
     is always high enough, and the least candidate is the lowest bit.
+    On an injective step the projection keeps every coordinate, so each
+    parent is its own class and keeps its own least candidate.  Either
+    way each class ends with one state, which is what lets an inherited
+    step after this one skip its Pareto pass.
     """
+    if injective:
+        out = {}
+        for key in states:
+            lo = key[prev_pos] + 1 if prev_pos is not None else 1
+            cand = pool >> lo << lo
+            for qt, qp in pending_pos:
+                cand &= adj[qt][key[qp]]
+            if cand:
+                out[get_head(key) + ((cand & -cand).bit_length() - 1,)
+                    + get_tail(key)] = key
+        return out
     best = {}
     for key in states:
         lo = key[prev_pos] + 1 if prev_pos is not None else 1

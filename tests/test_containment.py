@@ -1,5 +1,6 @@
 """Containment searcher against the exhaustive oracle and fixed cases."""
 
+import copy
 import random
 from unittest.mock import patch
 
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from ordex.catalog import complete_ordered, keszegh_h, sailboat
 from ordex.constructions import power_distance_graph
 from ordex.containment import (EdgelessPatternError, FlavorMismatchError,
-                               contains, embedding_is_valid, find_embedding)
+                               HostIndex, PatternIndex, _pareto_reduce, contains,
+                               embedding_is_valid, find_embedding)
 from ordex.graphs import (bipartite_graph, cyclic_graph, ordered_graph,
                           rotate_cyclic, rotations)
 
@@ -140,6 +142,95 @@ def test_oracle_agreement_bipartite_cut_everywhere(host, pattern):
 @settings(max_examples=150, deadline=None)
 def test_oracle_agreement_cyclic_cut_everywhere(host, pattern):
     _agrees_with_oracle_cutting_every_layer(host, pattern)
+
+
+# Positions of the pure coordinates and the flags in a plan step.
+PURE, SELF_PURE, INJECTIVE, INHERITED, SHARED = 7, 8, 9, 10, 11
+
+
+def test_plan_flags_are_pinned():
+    """In H:1 the step placing u3 keeps the whole boundary and the one
+    pure coordinate of the step before it, v3, held only as the window
+    anchor of its part; u3 itself waits for v5: the step is inherited,
+    and no other step is.  Every step of the hook's plan but the last
+    keeps the whole boundary; the last leaves only the vertex it places.
+    No hook step is shared: the window-only steps placing vertices 1
+    and 2 hold no coordinate besides the anchor.  In H:1 the window-only
+    steps after the first two are shared."""
+    P = PatternIndex(keszegh_h(1))
+    u3 = 2
+    assert [P.order[t] for t, step in enumerate(P.plan) if step[INHERITED]] == [u3]
+    hook = PatternIndex(HOOK_PATTERN)
+    assert [step[INJECTIVE] for step in hook.plan] == [True, True, True, False]
+    assert not any(step[INHERITED] or step[SHARED] for step in hook.plan)
+    assert [t for t, step in enumerate(P.plan) if step[SHARED]] == [4, 5, 7, 10]
+
+
+def _flags_cleared(P):
+    """P with every step's injective, inherited and shared flags cleared:
+    every Pareto pass runs, every child goes through the duplicate test
+    and every parent walks its own candidate mask."""
+    Q = copy.copy(P)
+    Q.plan = [step[:INJECTIVE] + (False, False, False) + step[SHARED + 1:]
+              for step in P.plan]
+    return Q
+
+
+def _skips_keep_every_state(host, pattern):
+    """With every layer cut, the flags change no search: the same images
+    come back, and each Pareto pass an inherited step skips would have
+    returned its layer unchanged, in order.  Returns how many skips
+    fired: only two-part patterns have inherited steps, since in a
+    single part the only pure coordinate is the vertex just placed."""
+    if not pattern.edges:
+        return 0
+    H = HostIndex.of(host)
+    fired = 0
+    with patch("ordex.containment.REDUCE_ABOVE", 0):
+        for _, rotated in rotations(pattern):
+            P = PatternIndex(rotated)
+            passes = []
+
+            def spy(states, pure):
+                out = _pareto_reduce(states, pure)
+                passes.append(list(out.items()) == list(states.items()))
+                return out
+
+            with patch("ordex.containment._pareto_reduce", spy):
+                plain = find_embedding(_flags_cleared(P), H)
+            assert find_embedding(P, H) == plain
+            # With every layer cut, a pass runs at every step with a pure
+            # coordinate, bar a least-image step with only that one.
+            reducing = [step for step in P.plan
+                        if step[PURE] and (len(step[PURE]) > 1 or not step[SELF_PURE])]
+            for step, unchanged in zip(reducing, passes):
+                if step[INHERITED]:
+                    assert unchanged
+                    fired += 1
+    return fired
+
+
+def test_inherited_skip_fires_on_the_tripling_host():
+    host = power_distance_graph(18, 3, "bipartite")
+    assert _skips_keep_every_state(host, keszegh_h(1)) > 0
+
+
+@given(*ORDERED_PAIRS)
+@settings(max_examples=150, deadline=None)
+def test_skipped_passes_keep_every_state_ordered(host, pattern):
+    _skips_keep_every_state(host, pattern)
+
+
+@given(*BIPARTITE_PAIRS)
+@settings(max_examples=150, deadline=None)
+def test_skipped_passes_keep_every_state_bipartite(host, pattern):
+    _skips_keep_every_state(host, pattern)
+
+
+@given(*CYCLIC_PAIRS)
+@settings(max_examples=100, deadline=None)
+def test_skipped_passes_keep_every_state_cyclic(host, pattern):
+    _skips_keep_every_state(host, pattern)
 
 
 @given(bipartite_graphs_(max_n=6, max_m=6))
