@@ -38,13 +38,21 @@ class DomainError(Exception):
 def _read_graph(path: str):
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise DomainError("io", f"cannot read {path}: {exc.strerror}")
     try:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bytes before the bad one decode; count lines as the
+            # parser does.
+            lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+            raise GraphTextError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                                 len(lines), len(lines[-1])) from None
         return parse_graph(text)
     except GraphTextError as exc:
         raise DomainError("parse", str(exc), line=exc.line, column=exc.column)

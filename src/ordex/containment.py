@@ -7,10 +7,13 @@ pattern neighbors, plus the most recently placed vertex of each part
 (which pins the window for the next one).  Partial placements with the
 same boundary images are interchangeable, so the search runs as a
 layered dynamic program over deduplicated boundary states instead of a
-tree.  On top of deduplication, a boundary vertex kept only for its
-window role is a pure coordinate: it is monotone (smaller images allow
-strictly more completions), so a step expanding a layer of more than
-REDUCE_ABOVE states keeps only the Pareto-minimal states it produces.
+tree.  A state lists the images of the boundary vertices a step keeps,
+in their previous order, and then the image of the vertex just placed,
+so a child state is its parent's projection plus one image.  On top of
+deduplication, a boundary vertex kept only for its window role is a
+pure coordinate: it is monotone (smaller images allow strictly more
+completions), so a step expanding a layer of more than REDUCE_ABOVE
+states keeps only the Pareto-minimal states it produces.
 This keeps avoidance proofs on large structured hosts cheap, where
 plain backtracking revisits equivalent partial maps exponentially
 often.  The host is one int bitmask of neighbors per vertex, so a
@@ -80,12 +83,13 @@ class PatternIndex:
     step of that order is compiled once into a plan tuple holding
     everything the searcher needs about it: the part, where the window
     anchor and the placed neighbors sit in the previous boundary tuple,
-    how to project the previous boundary onto the next one (before and
-    after the placed vertex, and both together), the degree the image
-    needs, the Pareto-reducible coordinates, whether the placed vertex
-    is one of them, the three flags below and the offset of the upper
-    window bound from the end of the host part.  ``self_pos[t]`` is
-    where step t's placed vertex sits in the boundary after it.
+    the projection of the previous boundary onto the coordinates it
+    keeps, the degree the image needs, the Pareto-reducible coordinates,
+    whether the placed vertex is one of them, the three flags below and
+    the offset of the upper window bound from the end of the host part.
+    A step's boundary is the coordinates it keeps, in their previous
+    order, followed by the vertex it places, so a child state is its
+    parent's projection plus one image.
 
     - ``injective``: the step keeps every coordinate of the previous
       boundary, so distinct parents have distinct children.
@@ -100,11 +104,12 @@ class PatternIndex:
     A pure (Pareto-reducible) coordinate has all its pattern neighbors
     placed, so it stays in the boundary only as the last placed vertex
     of its part: a step has at most two pure coordinates, and at most
-    one for a single-part pattern.
+    one for a single-part pattern.  They are listed in pattern-vertex
+    order, not boundary order: that order is what fixes how a Pareto
+    pass sorts a class, and so which witness is found first.
     """
 
-    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "order", "plan",
-                 "self_pos")
+    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "order", "plan")
 
     def __init__(self, pattern: PatternGraph):
         pu = pattern.n_u
@@ -187,7 +192,6 @@ class PatternIndex:
         order.reverse()
         self.order = order
         self.plan = []
-        self.self_pos = []
         placed = set()
         old_boundary = ()
         old_pure = []
@@ -207,35 +211,34 @@ class PatternIndex:
             for last in lasts:
                 if last is not None:
                     keep.add(last)
-            boundary = tuple(sorted(q for q in keep if q in placed))
-            # Positions of retained coordinates in the old/new boundary
-            # tuples.  The placed vertex is always the current last of its
-            # part, so it appears in the new boundary exactly once.
-            kept = tuple(old_pos[q] for q in boundary if q != p)
-            self_pos = boundary.index(p)
+            # The retained coordinates keep their old order, and the
+            # placed vertex, always the current last of its part, comes
+            # after them.
+            kept = tuple(k for k, q in enumerate(old_boundary) if q in keep)
+            boundary = tuple(old_boundary[k] for k in kept) + (p,)
             # Coordinates kept only as window anchors: all their pattern
-            # neighbors are placed, so smaller images dominate.
-            pure = [k for k, q in enumerate(boundary)
+            # neighbors are placed, so smaller images dominate.  Listed
+            # in pattern-vertex order, which fixes the order in which a
+            # Pareto pass sorts a class, and so the witness found.
+            pure = [boundary.index(q) for q in sorted(boundary)
                     if all(r in placed for r in self.nbrs[q])]
             pure_vertices = [boundary[k] for k in pure]
+            self_pure = p in pure_vertices
             injective = len(kept) == len(old_boundary)
             self.plan.append((
                 pt,
                 anchor,
-                _tuple_getter(kept[:self_pos]),
-                _tuple_getter(kept[self_pos:]),
                 _tuple_getter(kept),
                 pending,
                 self.deg[p],
                 pure,
-                self_pos in pure,
+                self_pure,
                 injective,
-                injective and len(pure) == 1 and self_pos not in pure
+                injective and len(pure) == 1 and not self_pure
                 and pure_vertices == old_pure,
                 not pending and len(old_boundary) > (anchor is not None),
                 self.part_count[pt] - self.idx[p],
             ))
-            self.self_pos.append(self_pos)
             old_boundary = boundary
             old_pure = pure_vertices
 
@@ -253,14 +256,14 @@ class HostIndex:
     bipartite hosts.  ``deg[part][x]`` is the degree of x in the host.
     Single-part hosts alias both entries of ``sizes``, ``adj`` and
     ``deg`` to one vertex set, so adding an edge needs no part branch.
-    A cyclic host is held as its linear reading.  Edges are given in
-    host labels, a single-part edge lower end first.
+    A cyclic host is held as its linear reading.
     """
 
     __slots__ = ("sizes", "adj", "deg")
 
-    def __init__(self, flavor: str, n_u: int, n_v: int, edges=()):
-        if flavor == BIPARTITE:
+    def __init__(self, g: PatternGraph):
+        n_u, n_v = g.n_u, g.n_v
+        if g.flavor == BIPARTITE:
             self.sizes = (n_u, n_v)
             self.adj = ([0] * (n_u + 1), [0] * (n_v + 1))
             self.deg = ([0] * (n_u + 1), [0] * (n_v + 1))
@@ -270,20 +273,12 @@ class HostIndex:
             self.sizes = (n_u, n_u)
             self.adj = (adj, adj)
             self.deg = (deg, deg)
-        for e in edges:
-            self._add(e)
-
-    @classmethod
-    def of(cls, g: PatternGraph) -> "HostIndex":
-        return cls(g.flavor, g.n_u, g.n_v, g.edges)
-
-    def _add(self, e):
-        a, b = e
         adj, deg = self.adj, self.deg
-        adj[0][a] |= 1 << b
-        adj[1][b] |= 1 << a
-        deg[0][a] += 1
-        deg[1][b] += 1
+        for a, b in g.edges:
+            adj[0][a] |= 1 << b
+            adj[1][b] |= 1 << a
+            deg[0][a] += 1
+            deg[1][b] += 1
 
 
 def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
@@ -333,8 +328,8 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     states = {(): None}
     trail = []
     cut = False
-    for (pt, prev_pos, get_head, get_tail, get_rest, pending_pos, need_deg, pure,
-         self_pure, injective, inherited, shared, hi_off) in P.plan:
+    for (pt, prev_pos, get_rest, pending_pos, need_deg, pure, self_pure,
+         injective, inherited, shared, hi_off) in P.plan:
         # Candidates allowed by the window, the same for every state.
         pool = (2 << (sizes[pt] - hi_off)) - 2
         degs = H.deg[pt]
@@ -342,8 +337,7 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
         cut = pure and len(states) > REDUCE_ABOVE
         if cut and self_pure:
             new_states = _least_image_layer(states, pool, prev_pos, pending_pos,
-                                            adj, get_head, get_tail, get_rest,
-                                            injective)
+                                            adj, get_rest, injective)
         else:
             new_states = {}
             # candidate mask -> its images of high enough degree, as
@@ -356,8 +350,7 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
                     cand &= adj[qt][key[qp]]
                 if not cand:
                     continue
-                head = get_head(key)
-                tail = get_tail(key)
+                rest = get_rest(key)
                 if shared:
                     bits = images.get(cand)
                     if bits is None:
@@ -369,7 +362,7 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
                             if degs[h] >= need_deg:
                                 bits.append((h,))
                     for h in bits:
-                        new_key = head + h + tail
+                        new_key = rest + h
                         if injective or new_key not in new_states:
                             new_states[new_key] = key
                 else:
@@ -378,7 +371,7 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
                         cand ^= low
                         h = low.bit_length() - 1
                         if degs[h] >= need_deg:
-                            new_key = head + (h,) + tail
+                            new_key = rest + (h,)
                             if injective or new_key not in new_states:
                                 new_states[new_key] = key
         if not new_states:
@@ -394,17 +387,17 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
         states = new_states
 
     # Walk parents back to recover the embedding: step t placed its
-    # vertex at self_pos[t] of the state it produced.
+    # vertex last in the state it produced.
     img = [0] * P.n
     key = next(iter(states))
     for t in range(len(P.order) - 1, -1, -1):
-        img[P.order[t]] = key[P.self_pos[t]]
+        img[P.order[t]] = key[-1]
         key = trail[t][key]
     return img
 
 
-def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_head,
-                       get_tail, get_rest, injective):
+def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_rest,
+                       injective):
     """The Pareto-cut layer of a step placing a pure coordinate.
 
     Every state one parent produces has that parent's projection
@@ -427,8 +420,7 @@ def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_head,
             for qt, qp in pending_pos:
                 cand &= adj[qt][key[qp]]
             if cand:
-                out[get_head(key) + ((cand & -cand).bit_length() - 1,)
-                    + get_tail(key)] = key
+                out[get_rest(key) + ((cand & -cand).bit_length() - 1,)] = key
         return out
     best = {}
     for key in states:
@@ -442,8 +434,7 @@ def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_head,
             cur = best.get(rest)
             if cur is None or h < cur[0]:
                 best[rest] = (h, key)
-    return {get_head(parent) + (h,) + get_tail(parent): parent
-            for h, parent in best.values()}
+    return {rest + (h,): parent for rest, (h, parent) in best.items()}
 
 
 def _tuple_getter(indices):
@@ -460,10 +451,10 @@ def _pareto_reduce(states: dict, pure: list) -> dict:
     """Keep only states whose pure coordinates are Pareto-minimal within
     each class of equal non-pure coordinates.
 
-    There are at most two pure coordinates (``PatternIndex``), so a class
-    sorted by (first, second) keeps a state exactly when its second
-    coordinate is below that of every state kept before it.  Classes
-    keep the order they first appear in.
+    There are at most two pure coordinates (``PatternIndex``), listed in
+    pattern-vertex order, so a class sorted by (first, second) keeps a
+    state exactly when its second coordinate is below that of every
+    state kept before it.  Classes keep the order they first appear in.
     """
     if len(pure) == 1:
         # Single monotone coordinate: one pass keeping the least value
@@ -478,9 +469,10 @@ def _pareto_reduce(states: dict, pure: list) -> dict:
                 best[rest] = key
         return {key: states[key] for key in best.values()}
     k0, k1 = pure
+    a, b = sorted(pure)
     groups = {}
     for key in states:
-        groups.setdefault(key[:k0] + key[k0 + 1:k1] + key[k1 + 1:], []).append(key)
+        groups.setdefault(key[:a] + key[a + 1:b] + key[b + 1:], []).append(key)
     out = {}
     by_anchors = itemgetter(k0, k1)
     for keys in groups.values():
@@ -509,7 +501,7 @@ def contains(host: PatternGraph, pattern: PatternGraph) -> Embedding | None:
     the returned embedding refers to the pattern's own labeling.
     """
     _check_pair(host, pattern)
-    H = HostIndex.of(host)
+    H = HostIndex(host)
     for s, rotated in rotations(pattern):
         img = find_embedding(pattern_index(rotated), H)
         if img is not None:

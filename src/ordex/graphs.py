@@ -24,7 +24,6 @@ involution, so ``ops[::-1]`` undoes ``ops``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -83,12 +82,6 @@ class PatternGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        if self.flavor != BIPARTITE and a > b:
-            a, b = b, a
-        i = bisect_left(self.edges, (a, b))
-        return i < len(self.edges) and self.edges[i] == (a, b)
 
     def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Degree sequences, one tuple per part (second empty unless bipartite)."""

@@ -76,6 +76,32 @@ def test_parse_error_diagnostic(tmp_path):
     assert "out of range" in payload["error"]
 
 
+BAD_UTF8 = b"ordered 3\n1 2\n2 \xff3\n"
+
+
+def _assert_bad_byte_diagnostic(code, payload):
+    assert code == 1
+    DIAGNOSTIC.validate(payload)
+    assert payload["kind"] == "parse"
+    assert payload["line"] == 3 and payload["column"] == 3
+    assert "0xff" in payload["error"]
+
+
+def test_non_utf8_file_is_a_parse_diagnostic(tmp_path):
+    f = tmp_path / "bad.g"
+    f.write_bytes(BAD_UTF8)
+    _assert_bad_byte_diagnostic(*run_json(["contains", "--host", str(f),
+                                           "--pattern", str(f)]))
+
+
+def test_non_utf8_stdin_is_a_parse_diagnostic(tmp_path, monkeypatch):
+    p = tmp_path / "p.g"
+    p.write_text("ordered 2\n1 2\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BAD_UTF8)))
+    _assert_bad_byte_diagnostic(*run_json(["contains", "--host", "-",
+                                           "--pattern", str(p)]))
+
+
 def test_chromatic(tmp_path):
     f = tmp_path / "t.g"
     f.write_text("ordered 9\n" + "".join(

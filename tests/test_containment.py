@@ -145,7 +145,7 @@ def test_oracle_agreement_cyclic_cut_everywhere(host, pattern):
 
 
 # Positions of the pure coordinates and the flags in a plan step.
-PURE, SELF_PURE, INJECTIVE, INHERITED, SHARED = 7, 8, 9, 10, 11
+PURE, SELF_PURE, INJECTIVE, INHERITED, SHARED = 5, 6, 7, 8, 9
 
 
 def test_plan_flags_are_pinned():
@@ -159,11 +159,27 @@ def test_plan_flags_are_pinned():
     steps after the first two are shared."""
     P = PatternIndex(keszegh_h(1))
     u3 = 2
+    assert all(len(step) == 11 for step in P.plan)
     assert [P.order[t] for t, step in enumerate(P.plan) if step[INHERITED]] == [u3]
     hook = PatternIndex(HOOK_PATTERN)
     assert [step[INJECTIVE] for step in hook.plan] == [True, True, True, False]
     assert not any(step[INHERITED] or step[SHARED] for step in hook.plan)
     assert [t for t, step in enumerate(P.plan) if step[SHARED]] == [4, 5, 7, 10]
+
+
+def test_pareto_reduce_sorts_pure_coordinates_in_vertex_order():
+    """Pure positions come in pattern-vertex order, which need not be
+    position order: with ``[2, 0]`` a class is sorted by position 2 and
+    then position 0, and the class is the remaining position 1.  The
+    pass keeps the states it keeps with the coordinates laid out in
+    vertex order, in the same order."""
+    states = {(0, 5, 4): "a", (9, 6, 0): "b", (2, 5, 2): "c", (3, 5, 1): "d",
+              (1, 5, 2): "e"}
+    out = _pareto_reduce(states, [2, 0])
+    assert list(out.items()) == [((3, 5, 1), "d"), ((1, 5, 2), "e"),
+                                 ((0, 5, 4), "a"), ((9, 6, 0), "b")]
+    in_vertex_order = {(x2, x0, c): v for (x0, c, x2), v in states.items()}
+    assert list(_pareto_reduce(in_vertex_order, [0, 1]).values()) == list(out.values())
 
 
 def _flags_cleared(P):
@@ -184,7 +200,7 @@ def _skips_keep_every_state(host, pattern):
     single part the only pure coordinate is the vertex just placed."""
     if not pattern.edges:
         return 0
-    H = HostIndex.of(host)
+    H = HostIndex(host)
     fired = 0
     with patch("ordex.containment.REDUCE_ABOVE", 0):
         for _, rotated in rotations(pattern):
