@@ -11,8 +11,10 @@ from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError, PatternGraph,
 
 
 def as_permutation(values) -> tuple[int, ...]:
-    """Validate that values is a bijection on {1..k} and return it as a tuple."""
+    """Validate that values is a bijection on {1..k}, k >= 1; return it as a tuple."""
     pi = tuple(int(v) for v in values)
+    if not pi:
+        raise GraphValueError("permutation patterns need at least one entry")
     if sorted(pi) != list(range(1, len(pi) + 1)):
         raise GraphValueError(f"not a permutation of 1..{len(pi)}: {pi}")
     return pi

@@ -122,9 +122,16 @@ def _cmd_gen(args):
         raise DomainError("generator", f"bad generator {family!r}: {exc}")
 
 
+def _read_pair(flag, path, pattern_path):
+    """The graph named by flag and the --pattern graph; stdin holds one."""
+    if path == pattern_path == "-":
+        raise DomainError("usage", f"{flag} and --pattern both read stdin ('-'), "
+                                   "which holds one graph")
+    return _read_graph(path), _read_graph(pattern_path)
+
+
 def _cmd_contains(args):
-    host = _read_graph(args.host)
-    pattern = _read_graph(args.pattern)
+    host, pattern = _read_pair("--host", args.host, args.pattern)
     emb = contains(host, pattern)
     payload = {"contains": emb is not None}
     if emb is not None and args.witness:
@@ -146,23 +153,23 @@ def _cmd_chromatic(args):
 
 def _cmd_construct(args):
     head, _, rest = args.family.partition(":")
-    try:
-        if head == "pow":
+    if head == "pow":
+        try:
             base, flavor = rest.split(":")
             base_value = int(base)
-        elif head == "ckfree":
-            k = int(rest)
-    except ValueError as exc:
-        raise DomainError("usage", f"bad construction family {args.family!r}: {exc}")
-    if head == "pow":
+        except ValueError as exc:
+            raise DomainError("usage", f"bad construction family {args.family!r}: {exc}")
         if args.seed is not None:
             raise DomainError("usage", "construction family pow is deterministic "
                                        "and takes no --seed")
         g = power_distance_graph(args.n, base_value, flavor)
         family = f"pow:{base}:{flavor}"
     elif head == "ckfree":
-        seed = args.seed if args.seed is not None else 0
-        g = random_ck_free(args.n, k, seed)
+        try:
+            k = int(rest)
+        except ValueError as exc:
+            raise DomainError("usage", f"bad construction family {args.family!r}: {exc}")
+        g = random_ck_free(args.n, k, args.seed if args.seed is not None else 0)
         family = f"ckfree:{rest}"
     else:
         raise DomainError("usage", f"unknown construction family {args.family!r}")
@@ -270,8 +277,7 @@ def _cmd_bound(args):
 
 
 def _cmd_verify(args):
-    g = _read_graph(args.graph)
-    pattern = _read_graph(args.pattern)
+    g, pattern = _read_pair("--graph", args.graph, args.pattern)
     report = verify_construction(g, pattern)
     return report.as_dict()
 

@@ -12,19 +12,20 @@ in their previous order, and then the image of the vertex just placed,
 so a child state is its parent's projection plus one image.  On top of
 deduplication, a boundary vertex kept only for its window role is a
 pure coordinate: it is monotone (smaller images allow strictly more
-completions), so a step expanding a layer of more than REDUCE_ABOVE
-states keeps only the Pareto-minimal states it produces.
-This keeps avoidance proofs on large structured hosts cheap, where
-plain backtracking revisits equivalent partial maps exponentially
-often.  The host is one int bitmask of neighbors per vertex, so a
-state's candidates are its window ANDed with the host neighborhoods of
-its placed pattern neighbors.  When the placed vertex is itself pure,
-the cut leaves each parent only its least candidate, so such a step
+completions), so a step whose boundary has one keeps only the
+Pareto-minimal states it produces.  This keeps avoidance proofs on
+large structured hosts cheap, where plain backtracking revisits
+equivalent partial maps exponentially often.  Which steps cut, and
+how, depends on the pattern alone and is compiled into its plan.  The
+host is one int bitmask of neighbors per vertex, so a state's
+candidates are its window ANDed with the host neighborhoods of its
+placed pattern neighbors.  When the placed vertex is itself pure, the
+cut leaves each parent only its least candidate, so such a step
 expands each parent once, by its least image (see ``find_embedding``).
-A step that keeps the whole boundary and the parent step's one pure
-coordinate, placing a vertex that is not pure, skips the Pareto pass
-after a cut parent layer: two of its states in one class come from one
-parent with one image, so the pass would keep every state, in order.
+An inherited step keeps the whole boundary and the parent step's one
+pure coordinate and places a vertex that is not pure.  It has no Pareto
+pass: the parent layer was cut, so the states of one class come from
+one parent with one image, and the pass would keep every state.
 
 Cyclic containment is the same search run once per distinct rotation
 of the pattern (``graphs.rotations``), shift 0 first: cutting the host
@@ -39,13 +40,6 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, rotations
-
-
-# A step expanding a layer of more DP states than this keeps only the
-# Pareto-minimal states it produces.  Part of the witness contract: which
-# states a layer keeps decides which embedding is found first, so
-# changing the threshold changes witnesses.
-REDUCE_ABOVE = 64
 
 
 class FlavorMismatchError(GraphValueError):
@@ -84,18 +78,19 @@ class PatternIndex:
     everything the searcher needs about it: the part, where the window
     anchor and the placed neighbors sit in the previous boundary tuple,
     the projection of the previous boundary onto the coordinates it
-    keeps, the degree the image needs, the Pareto-reducible coordinates,
-    whether the placed vertex is one of them, the three flags below and
-    the offset of the upper window bound from the end of the host part.
+    keeps, the degree the image needs, the four fields below and the
+    offset of the upper window bound from the end of the host part.
     A step's boundary is the coordinates it keeps, in their previous
     order, followed by the vertex it places, so a child state is its
     parent's projection plus one image.
 
+    - ``least``: the placed vertex is pure, so the step expands each
+      parent by its least image.
+    - ``reduce``: the pure positions its Pareto pass reduces, or none
+      where the pass would keep every state: on a least-image step with
+      one pure coordinate, and on an inherited step (see the module).
     - ``injective``: the step keeps every coordinate of the previous
       boundary, so distinct parents have distinct children.
-    - ``inherited``: the step is injective, its placed vertex is not
-      pure, and its one pure coordinate is the same vertex as the
-      parent step's one pure coordinate.
     - ``shared``: the step is window-only (no pattern neighbor of the
       placed vertex is placed yet) and the previous boundary holds more
       than its window anchor, so parents with one anchor image share
@@ -223,19 +218,19 @@ class PatternIndex:
             pure = [boundary.index(q) for q in sorted(boundary)
                     if all(r in placed for r in self.nbrs[q])]
             pure_vertices = [boundary[k] for k in pure]
-            self_pure = p in pure_vertices
+            least = p in pure_vertices
             injective = len(kept) == len(old_boundary)
+            inherited = (injective and not least and len(pure) == 1
+                         and pure_vertices == old_pure)
             self.plan.append((
                 pt,
                 anchor,
                 _tuple_getter(kept),
                 pending,
                 self.deg[p],
-                pure,
-                self_pure,
+                least,
+                () if inherited or (least and len(pure) == 1) else tuple(pure),
                 injective,
-                injective and len(pure) == 1 and not self_pure
-                and pure_vertices == old_pure,
                 not pending and len(old_boundary) > (anchor is not None),
                 self.part_count[pt] - self.idx[p],
             ))
@@ -293,19 +288,14 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     placed pattern neighbor.  Its set bits are walked in ascending order
     and kept if their degree is high enough.
 
-    The cut is decided from the layer being expanded: a step whose
-    parent layer holds more than REDUCE_ABOVE states, and whose new
-    boundary has a pure coordinate, keeps only the Pareto-minimal states
-    it produces.  When the placed vertex is itself pure, every state one
-    parent produces has that parent's projection and differs only in the
-    image, so the cut keeps at most the parent's least candidate: the
-    step is expanded once per parent by least images
-    (``_least_image_layer``).  Otherwise the plain walk runs and
-    ``_pareto_reduce`` cuts its layer, unless the step is inherited and
-    its parent layer was cut: two children in one class then come from
-    one parent class, which the cut left with one state, and carry one
-    image, so they are one state and the pass would keep every state,
-    in order.  The cut is sound at any layer size, so the threshold
+    Every step whose boundary has a pure coordinate keeps only the
+    Pareto-minimal states it produces, and the plan fixes how.  When the
+    placed vertex is itself pure, every state one parent produces has
+    that parent's projection and differs only in the image, so the cut
+    keeps at most the parent's least candidate: the step is expanded
+    once per parent by least images (``_least_image_layer``), and
+    otherwise by the plain walk.  Then ``_pareto_reduce`` cuts the layer
+    along the step's ``reduce`` positions, if any.  The cut is sound: it
     decides only which embedding is found first.
 
     On a shared step the mask depends only on the window anchor, so the
@@ -318,24 +308,37 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     Deterministic: layers are expanded in insertion order and candidates
     ascend, so the first witness found is always the same.
     """
+    trail = _layers(P, H)
+    if len(trail) < len(P.plan):
+        return None
+    # Walk parents back to recover the embedding: step t placed its
+    # vertex last in the state it produced.
+    img = [0] * P.n
+    key = next(iter(trail[-1]))
+    for t in range(len(P.order) - 1, -1, -1):
+        img[P.order[t]] = key[-1]
+        key = trail[t][key]
+    return img
+
+
+def _layers(P: PatternIndex, H: HostIndex) -> list[dict]:
+    """The search's layers in plan order, each a dict from state to parent
+    state, up to the first empty one; none if the host is too small."""
     part_count = P.part_count
     sizes = H.sizes
+    trail = []
     if part_count[0] > sizes[0] or part_count[1] > sizes[1]:
-        return None
+        return trail
     adj = H.adj
 
     # states: boundary image tuple -> the parent state's key
     states = {(): None}
-    trail = []
-    cut = False
-    for (pt, prev_pos, get_rest, pending_pos, need_deg, pure, self_pure,
-         injective, inherited, shared, hi_off) in P.plan:
+    for (pt, prev_pos, get_rest, pending_pos, need_deg, least, reduce,
+         injective, shared, hi_off) in P.plan:
         # Candidates allowed by the window, the same for every state.
         pool = (2 << (sizes[pt] - hi_off)) - 2
         degs = H.deg[pt]
-        parent_cut = cut
-        cut = pure and len(states) > REDUCE_ABOVE
-        if cut and self_pure:
+        if least:
             new_states = _least_image_layer(states, pool, prev_pos, pending_pos,
                                             adj, get_rest, injective)
         else:
@@ -375,25 +378,12 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
                             if injective or new_key not in new_states:
                                 new_states[new_key] = key
         if not new_states:
-            return None
-        # A least-image layer is already cut along the placed vertex, so
-        # it needs the Pareto pass only for a second pure coordinate; an
-        # inherited step below a cut layer already holds one state per
-        # class.
-        if (cut and (len(pure) > 1 or not self_pure)
-                and not (inherited and parent_cut)):
-            new_states = _pareto_reduce(new_states, pure)
+            return trail
+        if reduce:
+            new_states = _pareto_reduce(new_states, reduce)
         trail.append(new_states)
         states = new_states
-
-    # Walk parents back to recover the embedding: step t placed its
-    # vertex last in the state it produced.
-    img = [0] * P.n
-    key = next(iter(states))
-    for t in range(len(P.order) - 1, -1, -1):
-        img[P.order[t]] = key[-1]
-        key = trail[t][key]
-    return img
+    return trail
 
 
 def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_rest,
@@ -409,8 +399,8 @@ def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_rest,
     is always high enough, and the least candidate is the lowest bit.
     On an injective step the projection keeps every coordinate, so each
     parent is its own class and keeps its own least candidate.  Either
-    way each class ends with one state, which is what lets an inherited
-    step after this one skip its Pareto pass.
+    way each class ends with one state, which is why an inherited step
+    after this one has no Pareto pass.
     """
     if injective:
         out = {}
@@ -447,15 +437,18 @@ def _tuple_getter(indices):
     return itemgetter(*indices)
 
 
-def _pareto_reduce(states: dict, pure: list) -> dict:
+def _pareto_reduce(states: dict, pure: tuple) -> dict:
     """Keep only states whose pure coordinates are Pareto-minimal within
     each class of equal non-pure coordinates.
 
     There are at most two pure coordinates (``PatternIndex``), listed in
     pattern-vertex order, so a class sorted by (first, second) keeps a
     state exactly when its second coordinate is below that of every
-    state kept before it.  Classes keep the order they first appear in.
+    state kept before it.  Classes keep the order they first appear in,
+    and a layer of one state is its own cut.
     """
+    if len(states) < 2:
+        return states
     if len(pure) == 1:
         # Single monotone coordinate: one pass keeping the least value
         # per class, with C-level slicing for the class key.

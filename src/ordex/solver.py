@@ -489,8 +489,6 @@ def count_avoiding_permutations(n: int, pi,
     """
     pi = as_permutation(pi)
     k = len(pi)
-    if k == 0:
-        raise GraphValueError("permutation patterns need at least one entry")
     if n < 0:
         raise GraphValueError("permutation length n must be non-negative")
     if n > caps.permutations:

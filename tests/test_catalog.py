@@ -17,6 +17,10 @@ def test_as_permutation_validates():
         as_permutation([1, 1, 2])
     with pytest.raises(GraphValueError):
         as_permutation([2, 3])
+    with pytest.raises(GraphValueError, match="need at least one entry"):
+        as_permutation([])
+    with pytest.raises(GraphValueError, match="need at least one entry"):
+        generalized_matching(1, [], "bipartite")
 
 
 def test_matching_small_cases():

@@ -102,6 +102,27 @@ def test_non_utf8_stdin_is_a_parse_diagnostic(tmp_path, monkeypatch):
                                            "--pattern", str(p)]))
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["contains", "--host", "-", "--pattern", "-"], "--host"),
+    (["verify", "--graph", "-", "--pattern", "-"], "--graph"),
+])
+def test_two_stdin_arguments_are_refused(argv, flag, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"ordered 3\n1 2\n")))
+    code, payload = run_json(argv)
+    assert code == 1
+    DIAGNOSTIC.validate(payload)
+    assert payload["kind"] == "usage"
+    assert flag in payload["error"] and "--pattern" in payload["error"]
+
+
+def test_gen_refuses_an_empty_permutation():
+    code, payload = run_json(["gen", "match:1::bipartite"])
+    assert code == 1
+    DIAGNOSTIC.validate(payload)
+    assert payload["kind"] == "generator"
+    assert "permutation patterns need at least one entry" in payload["error"]
+
+
 def test_chromatic(tmp_path):
     f = tmp_path / "t.g"
     f.write_text("ordered 9\n" + "".join(
@@ -438,7 +459,7 @@ def test_cli_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "cli_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "4032c7cf64d1c4a4c75ad5e86ad17c7c157b481e6c7bf44e7b403b3b5c7dc833")
+        "01ec59eb4fdd9f2f2be41fc22b880e42118c76989e2562558e8e5250a7bb7e16")
 
 
 # ---------------------------------------------------------------------------

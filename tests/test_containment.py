@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from ordex.catalog import complete_ordered, keszegh_h, sailboat
 from ordex.constructions import power_distance_graph
 from ordex.containment import (EdgelessPatternError, FlavorMismatchError,
-                               HostIndex, PatternIndex, _pareto_reduce, contains,
+                               HostIndex, PatternIndex, _layers,
+                               _least_image_layer, _pareto_reduce, contains,
                                embedding_is_valid, find_embedding)
 from ordex.graphs import (bipartite_graph, cyclic_graph, ordered_graph,
                           rotate_cyclic, rotations)
@@ -76,14 +77,6 @@ def _agrees_with_oracle(host, pattern):
         assert embedding_is_valid(host, pattern, emb)
 
 
-def _agrees_with_oracle_cutting_every_layer(host, pattern):
-    """Hosts this small never fill a layer past REDUCE_ABOVE, so the
-    threshold is lowered to 0: every layer with a pure coordinate is then
-    cut, by least images or by the Pareto pass."""
-    with patch("ordex.containment.REDUCE_ABOVE", 0):
-        _agrees_with_oracle(host, pattern)
-
-
 ORDERED_PAIRS = (ordered_graphs(max_n=9),
                  ordered_graphs(max_n=5, max_edges=4, min_n=1))
 BIPARTITE_PAIRS = (bipartite_graphs_(max_n=7, max_m=7),
@@ -92,12 +85,22 @@ CYCLIC_PAIRS = (cyclic_graphs(max_n=8), cyclic_graphs(max_n=5, max_edges=4, min_
 
 
 @given(*ORDERED_PAIRS)
+# A host whose only embedding runs through the least image of its class,
+# not through a larger one.
+@example(ordered_graph(8, [(1, 4), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6), (3, 6),
+                             (3, 7), (4, 6), (4, 7), (5, 8), (6, 8)]),
+         ordered_graph(4, [(1, 2), (3, 4)]))
 @settings(max_examples=250, deadline=None)
 def test_oracle_agreement_ordered(host, pattern):
     _agrees_with_oracle(host, pattern)
 
 
 @given(*BIPARTITE_PAIRS)
+# A host whose only embedding runs through a state that is Pareto-minimal
+# in both pure coordinates but not least in the first.
+@example(bipartite_graph(5, 7, [(1, 2), (1, 6), (2, 2), (2, 3), (2, 5), (4, 1),
+                                (4, 2), (4, 3), (4, 6), (5, 4)]),
+         bipartite_graph(4, 3, [(1, 1), (1, 2), (3, 1), (4, 3)]))
 @settings(max_examples=250, deadline=None)
 def test_oracle_agreement_bipartite(host, pattern):
     _agrees_with_oracle(host, pattern)
@@ -107,123 +110,115 @@ def test_oracle_agreement_bipartite(host, pattern):
 # The only copy is of the rotation at shift 3, and pattern vertex 2 is
 # isolated, so every image must be mapped back to its own vertex.
 @example(cyclic_graph(6, [(2, 4), (4, 6)]), cyclic_graph(4, [(1, 3), (1, 4)]))
-@settings(max_examples=150, deadline=None)
-def test_oracle_agreement_cyclic(host, pattern):
-    _agrees_with_oracle(host, pattern)
-
-
-@given(*ORDERED_PAIRS)
-# A host whose only embedding runs through the least image of its class,
-# not through a larger one.
-@example(ordered_graph(8, [(1, 4), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6), (3, 6),
-                             (3, 7), (4, 6), (4, 7), (5, 8), (6, 8)]),
-         ordered_graph(4, [(1, 2), (3, 4)]))
-@settings(max_examples=200, deadline=None)
-def test_oracle_agreement_ordered_cut_everywhere(host, pattern):
-    _agrees_with_oracle_cutting_every_layer(host, pattern)
-
-
-@given(*BIPARTITE_PAIRS)
-# A host whose only embedding runs through a state that is Pareto-minimal
-# in both pure coordinates but not least in the first.
-@example(bipartite_graph(5, 7, [(1, 2), (1, 6), (2, 2), (2, 3), (2, 5), (4, 1),
-                                (4, 2), (4, 3), (4, 6), (5, 4)]),
-         bipartite_graph(4, 3, [(1, 1), (1, 2), (3, 1), (4, 3)]))
-@settings(max_examples=200, deadline=None)
-def test_oracle_agreement_bipartite_cut_everywhere(host, pattern):
-    _agrees_with_oracle_cutting_every_layer(host, pattern)
-
-
-@given(*CYCLIC_PAIRS)
 # A host whose only embedding runs through the least image of its class,
 # not through a larger one.
 @example(cyclic_graph(6, [(1, 3), (1, 5), (1, 6), (2, 6), (5, 6)]),
          cyclic_graph(5, [(2, 3), (4, 5)]))
 @settings(max_examples=150, deadline=None)
-def test_oracle_agreement_cyclic_cut_everywhere(host, pattern):
-    _agrees_with_oracle_cutting_every_layer(host, pattern)
+def test_oracle_agreement_cyclic(host, pattern):
+    _agrees_with_oracle(host, pattern)
 
 
-# Positions of the pure coordinates and the flags in a plan step.
-PURE, SELF_PURE, INJECTIVE, INHERITED, SHARED = 5, 6, 7, 8, 9
+# Positions of the projection and the flags in a plan step.
+GET_REST, LEAST, REDUCE, INJECTIVE, SHARED = 2, 5, 6, 7, 8
 
 
 def test_plan_flags_are_pinned():
     """In H:1 the step placing u3 keeps the whole boundary and the one
     pure coordinate of the step before it, v3, held only as the window
     anchor of its part; u3 itself waits for v5: the step is inherited,
-    and no other step is.  Every step of the hook's plan but the last
-    keeps the whole boundary; the last leaves only the vertex it places.
-    No hook step is shared: the window-only steps placing vertices 1
-    and 2 hold no coordinate besides the anchor.  In H:1 the window-only
-    steps after the first two are shared."""
+    so it has no Pareto pass, although its boundary has a pure
+    coordinate.  In the hook, a single-part pattern, the only pure
+    coordinate is the vertex just placed, so no step has a pass, and
+    the steps placing vertices 3 and 4 expand by least images.  Every
+    step of the hook's plan but the last keeps the whole boundary; the
+    last leaves only the vertex it places.  No hook step is shared: the
+    window-only steps placing vertices 1 and 2 hold no coordinate
+    besides the anchor.  In H:1 the window-only steps after the first
+    two are shared."""
     P = PatternIndex(keszegh_h(1))
-    u3 = 2
-    assert all(len(step) == 11 for step in P.plan)
-    assert [P.order[t] for t, step in enumerate(P.plan) if step[INHERITED]] == [u3]
+    u2, u3, v3 = 1, 2, 9
+    assert all(len(step) == 10 for step in P.plan)
+    assert P.order[4:6] == [u2, u3]
+    assert P.plan[4][REDUCE] == (1,) and P.plan[5][REDUCE] == ()
+    assert P.plan[5][INJECTIVE] and not P.plan[5][LEAST]
+    boundary, pure = _pure_positions(P)[5]
+    assert pure == (1,) and boundary[1] == v3
+    assert [t for t, step in enumerate(P.plan) if step[LEAST]] == [3, 6, 8, 9, 11, 12, 13]
     hook = PatternIndex(HOOK_PATTERN)
+    assert [step[LEAST] for step in hook.plan] == [False, False, True, True]
     assert [step[INJECTIVE] for step in hook.plan] == [True, True, True, False]
-    assert not any(step[INHERITED] or step[SHARED] for step in hook.plan)
+    assert not any(step[REDUCE] or step[SHARED] for step in hook.plan)
     assert [t for t, step in enumerate(P.plan) if step[SHARED]] == [4, 5, 7, 10]
 
 
 def test_pareto_reduce_sorts_pure_coordinates_in_vertex_order():
     """Pure positions come in pattern-vertex order, which need not be
-    position order: with ``[2, 0]`` a class is sorted by position 2 and
+    position order: with ``(2, 0)`` a class is sorted by position 2 and
     then position 0, and the class is the remaining position 1.  The
     pass keeps the states it keeps with the coordinates laid out in
     vertex order, in the same order."""
     states = {(0, 5, 4): "a", (9, 6, 0): "b", (2, 5, 2): "c", (3, 5, 1): "d",
               (1, 5, 2): "e"}
-    out = _pareto_reduce(states, [2, 0])
+    out = _pareto_reduce(states, (2, 0))
     assert list(out.items()) == [((3, 5, 1), "d"), ((1, 5, 2), "e"),
                                  ((0, 5, 4), "a"), ((9, 6, 0), "b")]
     in_vertex_order = {(x2, x0, c): v for (x0, c, x2), v in states.items()}
-    assert list(_pareto_reduce(in_vertex_order, [0, 1]).values()) == list(out.values())
+    assert list(_pareto_reduce(in_vertex_order, (0, 1)).values()) == list(out.values())
+
+
+def _pure_positions(P):
+    """Each step's boundary and its pure positions, in pattern-vertex
+    order, found from the definitions: the boundary is rebuilt by
+    running each step's projection on the vertex ids, and a boundary
+    vertex is pure once all its pattern neighbors are placed."""
+    out = []
+    boundary = ()
+    for t, (p, step) in enumerate(zip(P.order, P.plan)):
+        boundary = step[GET_REST](boundary) + (p,)
+        placed = set(P.order[:t + 1])
+        out.append((boundary, tuple(boundary.index(q) for q in sorted(boundary)
+                                    if all(r in placed for r in P.nbrs[q]))))
+    return out
 
 
 def _flags_cleared(P):
-    """P with every step's injective, inherited and shared flags cleared:
-    every Pareto pass runs, every child goes through the duplicate test
-    and every parent walks its own candidate mask."""
+    """P with every step's least, injective and shared flags cleared and
+    a Pareto pass over all its pure positions: every layer is expanded by
+    the plain walk and then cut, every child goes through the duplicate
+    test and every parent walks its own candidate mask."""
     Q = copy.copy(P)
-    Q.plan = [step[:INJECTIVE] + (False, False, False) + step[SHARED + 1:]
-              for step in P.plan]
+    Q.plan = [step[:LEAST] + (False, pure, False, False) + step[SHARED + 1:]
+              for step, (_, pure) in zip(P.plan, _pure_positions(P))]
     return Q
 
 
 def _skips_keep_every_state(host, pattern):
-    """With every layer cut, the flags change no search: the same images
-    come back, and each Pareto pass an inherited step skips would have
-    returned its layer unchanged, in order.  Returns how many skips
-    fired: only two-part patterns have inherited steps, since in a
+    """The plan changes no layer.  A step expands by least images
+    exactly when its placed vertex, last in its boundary, is pure, and
+    its pass reduces all its pure positions or none.  With the flags
+    cleared and a pass at every step with a pure coordinate, every layer
+    comes back the same, in order, with the same parents: so each pass
+    the plan omits would have returned its layer unchanged, in order,
+    and each least-image layer is the cut of the plain walk.  Returns
+    how many inherited steps (a pure coordinate, no least images and no
+    pass) the search ran: only two-part patterns have them, since in a
     single part the only pure coordinate is the vertex just placed."""
     if not pattern.edges:
         return 0
     H = HostIndex(host)
-    fired = 0
-    with patch("ordex.containment.REDUCE_ABOVE", 0):
-        for _, rotated in rotations(pattern):
-            P = PatternIndex(rotated)
-            passes = []
-
-            def spy(states, pure):
-                out = _pareto_reduce(states, pure)
-                passes.append(list(out.items()) == list(states.items()))
-                return out
-
-            with patch("ordex.containment._pareto_reduce", spy):
-                plain = find_embedding(_flags_cleared(P), H)
-            assert find_embedding(P, H) == plain
-            # With every layer cut, a pass runs at every step with a pure
-            # coordinate, bar a least-image step with only that one.
-            reducing = [step for step in P.plan
-                        if step[PURE] and (len(step[PURE]) > 1 or not step[SELF_PURE])]
-            for step, unchanged in zip(reducing, passes):
-                if step[INHERITED]:
-                    assert unchanged
-                    fired += 1
-    return fired
+    inherited = 0
+    for _, rotated in rotations(pattern):
+        P = PatternIndex(rotated)
+        steps = list(zip(P.plan, _pure_positions(P)))
+        for step, (boundary, pure) in steps:
+            assert step[LEAST] == (len(boundary) - 1 in pure)
+            assert step[REDUCE] in ((), pure)
+        layers = [list(layer.items()) for layer in _layers(P, H)]
+        assert layers == [list(layer.items()) for layer in _layers(_flags_cleared(P), H)]
+        inherited += sum(1 for step, (_, pure) in steps[:len(layers)]
+                         if pure and not step[LEAST] and not step[REDUCE])
+    return inherited
 
 
 def test_inherited_skip_fires_on_the_tripling_host():
@@ -247,6 +242,18 @@ def test_skipped_passes_keep_every_state_bipartite(host, pattern):
 @settings(max_examples=100, deadline=None)
 def test_skipped_passes_keep_every_state_cyclic(host, pattern):
     _skips_keep_every_state(host, pattern)
+
+
+def test_small_hosts_are_cut_too():
+    """A layer is cut however few states it holds: the sailboat as its
+    own host fills no layer past a handful of states, and still its two
+    steps placing a pure vertex expand by least images and its three
+    steps with a pass run it."""
+    with patch("ordex.containment._least_image_layer",
+               wraps=_least_image_layer) as least, \
+            patch("ordex.containment._pareto_reduce", wraps=_pareto_reduce) as reduce:
+        assert contains(sailboat(), sailboat()) is not None
+    assert (least.call_count, reduce.call_count) == (2, 3)
 
 
 @given(bipartite_graphs_(max_n=6, max_m=6))
@@ -350,16 +357,16 @@ WITNESSES = {
     'hook#2': {'u_map': [5, 11, 18, 21]},
     'hook#3': {'u_map': [5, 7, 10, 11]},
     'H:1#1': {'u_map': [2, 3, 5, 6, 8, 9, 17], 'v_map': [1, 3, 6, 7, 9, 12, 23]},
-    'H:1#2': {'u_map': [2, 6, 7, 8, 10, 14, 23], 'v_map': [1, 5, 13, 16, 19, 20, 21]},
+    'H:1#2': {'u_map': [2, 4, 6, 8, 15, 16, 17], 'v_map': [1, 5, 13, 19, 20, 22, 24]},
     'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 12], 'v_map': [4, 6, 8, 10, 19, 20, 24]},
     'sailboat#1': {'u_map': [5, 6, 9], 'v_map': [1, 3, 7, 23]},
-    'sailboat#2': {'u_map': [2, 8, 19], 'v_map': [1, 2, 5, 10]},
-    'sailboat#3': {'u_map': [7, 12, 17], 'v_map': [12, 13, 20, 23]},
+    'sailboat#2': {'u_map': [2, 8, 16], 'v_map': [1, 3, 5, 6]},
+    'sailboat#3': {'u_map': [3, 4, 10], 'v_map': [3, 7, 16, 21]},
     'crossing#1': {'u_map': [1, 2, 3, 6]},
-    'crossing#2': {'u_map': [1, 2, 14, 17]},
-    'crossing#3': {'u_map': [2, 3, 6, 13]},
+    'crossing#2': {'u_map': [4, 6, 7, 9]},
+    'crossing#3': {'u_map': [2, 6, 7, 9]},
     'C4#1': {'u_map': [1, 6, 8, 17]},
-    'C4#2': {'u_map': [1, 16, 29, 30]},
+    'C4#2': {'u_map': [5, 12, 17, 22]},
     'C4#3': {'u_map': [13, 14, 18, 29]},
 }
 
@@ -378,9 +385,11 @@ def test_contains_witness_is_pinned(case):
 def test_contains_digest_is_pinned():
     """``contains`` on the scripts/contains_digest.py corpus (planted hosts
     of every flavor, the doubling, tripling and C4-free avoiding hosts)
-    returns byte-identical results to the pinned digest.  The corpus is
-    large enough that layers are cut both by least images and by the
-    Pareto pass, with one and with two pure coordinates."""
+    returns byte-identical results to the pinned digest.  Every layer
+    with a pure coordinate is cut, whatever its size, and the corpus's
+    patterns cut layers both by least images and by the Pareto pass,
+    with one and with two pure coordinates, so a change to the cut rule
+    moves this digest."""
     import os
     import subprocess
     import sys
@@ -393,4 +402,4 @@ def test_contains_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "contains_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "9ddab50a62a920107c828ac4c48bf0e1a21b19fa46e043714cc20fc7cb70ae4f")
+        "27dd55481374ae150683651a292c57821fee5a3bf3f365137ae3a273e0eb0079")
