@@ -119,6 +119,48 @@ def test_oracle_agreement_cyclic(host, pattern):
     _agrees_with_oracle(host, pattern)
 
 
+def _agrees_with_oracle_cutting_every_layer(host, pattern):
+    """The plan omits the Pareto passes it proves keep every state; here
+    every step with a pure coordinate runs one over all its pure
+    positions after the plain walk (``_flags_cleared``), so the cut is
+    checked against the oracle at every layer it may touch."""
+    with patch("ordex.containment.pattern_index",
+               lambda p: _flags_cleared(PatternIndex(p))):
+        _agrees_with_oracle(host, pattern)
+
+
+@given(*ORDERED_PAIRS)
+# A host whose only embedding runs through the least image of its class,
+# not through a larger one.
+@example(ordered_graph(8, [(1, 4), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6), (3, 6),
+                             (3, 7), (4, 6), (4, 7), (5, 8), (6, 8)]),
+         ordered_graph(4, [(1, 2), (3, 4)]))
+@settings(max_examples=200, deadline=None)
+def test_oracle_agreement_ordered_cut_everywhere(host, pattern):
+    _agrees_with_oracle_cutting_every_layer(host, pattern)
+
+
+@given(*BIPARTITE_PAIRS)
+# A host whose only embedding runs through a state that is Pareto-minimal
+# in both pure coordinates but not least in the first.
+@example(bipartite_graph(5, 7, [(1, 2), (1, 6), (2, 2), (2, 3), (2, 5), (4, 1),
+                                (4, 2), (4, 3), (4, 6), (5, 4)]),
+         bipartite_graph(4, 3, [(1, 1), (1, 2), (3, 1), (4, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_oracle_agreement_bipartite_cut_everywhere(host, pattern):
+    _agrees_with_oracle_cutting_every_layer(host, pattern)
+
+
+@given(*CYCLIC_PAIRS)
+# A host whose only embedding runs through the least image of its class,
+# not through a larger one.
+@example(cyclic_graph(6, [(1, 3), (1, 5), (1, 6), (2, 6), (5, 6)]),
+         cyclic_graph(5, [(2, 3), (4, 5)]))
+@settings(max_examples=150, deadline=None)
+def test_oracle_agreement_cyclic_cut_everywhere(host, pattern):
+    _agrees_with_oracle_cutting_every_layer(host, pattern)
+
+
 # Positions of the projection and the flags in a plan step.
 GET_REST, LEAST, REDUCE, INJECTIVE, SHARED = 2, 5, 6, 7, 8
 
