@@ -1,31 +1,33 @@
 """Order-preserving pattern containment testing.
 
-The searcher places pattern vertices in a fixed merged order that walks
-both parts left to right, so a partial placement is fully described by
-the images of a small boundary: vertices that still have unplaced
-pattern neighbors, plus the most recently placed vertex of each part
-(which pins the window for the next one).  Partial placements with the
-same boundary images are interchangeable, so the search runs as a
-layered dynamic program over deduplicated boundary states instead of a
-tree.  A state lists the images of the boundary vertices a step keeps,
-in their previous order, and then the image of the vertex just placed,
-so a child state is its parent's projection plus one image.  On top of
-deduplication, a boundary vertex kept only for its window role is a
-pure coordinate: it is monotone (smaller images allow strictly more
-completions), so a step whose boundary has one keeps only the
-Pareto-minimal states it produces.  This keeps avoidance proofs on
-large structured hosts cheap, where plain backtracking revisits
-equivalent partial maps exponentially often.  Which steps cut, and
-how, depends on the pattern alone and is compiled into its plan.  The
-host is one int bitmask of neighbors per vertex, so a state's
-candidates are its window ANDed with the host neighborhoods of its
-placed pattern neighbors.  When the placed vertex is itself pure, the
-cut leaves each parent only its least candidate, so such a step
-expands each parent once, by its least image (see ``find_embedding``).
-An inherited step keeps the whole boundary and the parent step's one
-pure coordinate and places a vertex that is not pure.  It has no Pareto
-pass: the parent layer was cut, so the states of one class come from
-one parent with one image, and the pass would keep every state.
+The searcher places pattern vertices one at a time, in an order chosen
+when the pattern is compiled (``PatternIndex``): a part's vertices need
+not be placed left to right.  A partial placement is fully described by
+the images of a small boundary: the placed vertices that still have an
+unplaced pattern neighbor, or that bound the window of an unplaced
+vertex of their part (as the nearest placed vertex on its left or on
+its right).  Partial placements with the same boundary images are
+interchangeable, so the search runs as a layered dynamic program over
+deduplicated boundary states instead of a tree.  A state lists the
+images of the boundary vertices a step keeps, in their previous order,
+and then the image of the vertex just placed, so a child state is its
+parent's projection plus one image.  The host is one int bitmask of
+neighbors per vertex, so a state's candidates are its two-sided window
+ANDed with the host neighborhoods of its placed pattern neighbors.
+
+On top of deduplication, a boundary vertex kept only as a window bound
+is a pure coordinate, with a direction.  What is left to place
+constrains it only through windows: as a left bound it gives the
+vertices on its right a lower bound, so a smaller image allows every
+completion a larger one allows; as a right bound, mirrored, a larger
+image does.  A vertex that bounds windows on both sides is not pure.
+So a step whose boundary has a pure coordinate keeps only the
+Pareto-best states it produces, class by class of equal other
+coordinates.  This keeps avoidance proofs on large structured hosts
+cheap, where plain backtracking revisits equivalent partial maps
+exponentially often.  Which steps cut, and how, depends on the pattern
+alone and is compiled into its plan (see ``PatternIndex`` and
+``find_embedding``).
 
 Cyclic containment is the same search run once per distinct rotation
 of the pattern (``graphs.rotations``), shift 0 first: cutting the host
@@ -38,8 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, rotations
+
+
+# Placed sets kept per round of the placement-order search, ranked by
+# their (peak, total) estimate.
+ORDER_BEAM = 8
+_SCORE = itemgetter(0, 1)
 
 
 class FlavorMismatchError(GraphValueError):
@@ -68,43 +77,83 @@ class Embedding:
         return d
 
 
+class _Step(NamedTuple):
+    """One compiled step of a placement order (see ``PatternIndex``)."""
+
+    part: int
+    lo_pos: int | None
+    lo_gap: int
+    hi_pos: int | None
+    hi_gap: int
+    get_rest: Callable
+    pending: tuple
+    need_deg: int
+    pick: int
+    reduce: tuple
+    cut_inline: bool
+    injective: bool
+    shared: bool
+
+
 class PatternIndex:
     """Pattern preprocessed for the searcher.
 
     Vertices get flat ids 0..n-1 (first part, then second part).  The
-    placement order merges the two index-ordered part sequences along a
-    minimax path that keeps the boundary as small as possible.  Each
-    step of that order is compiled once into a plan tuple holding
-    everything the searcher needs about it: the part, where the window
-    anchor and the placed neighbors sit in the previous boundary tuple,
-    the projection of the previous boundary onto the coordinates it
-    keeps, the degree the image needs, the four fields below and the
-    offset of the upper window bound from the end of the host part.
+    placement order may take the vertices of a part in any order
+    (``_search_order`` picks it), and each step of it is compiled once
+    by ``_compile`` into a ``_Step`` holding everything the searcher
+    needs about it.  The placed vertex's window is two-sided: with L and
+    R the nearest placed vertices of its part on the left and on the
+    right, its image lies in [img(L) + lo_gap, img(R) - hi_gap], the gaps
+    being the index distances, so the vertices between have room.
+    ``lo_pos``/``hi_pos`` are where L and R sit in the previous boundary
+    tuple, or None when there is no such vertex: the window then runs
+    from ``lo_gap`` (the vertex's index) or to the host part's size minus
+    ``hi_gap``.  ``pending`` lists (part, position) of the placed
+    pattern neighbors and ``need_deg`` is the degree the image needs.
     A step's boundary is the coordinates it keeps, in their previous
-    order, followed by the vertex it places, so a child state is its
-    parent's projection plus one image.
+    order (``get_rest`` projects onto them), followed by the vertex it
+    places, so a child state is its parent's projection plus one image.
+    A placed vertex stays in the boundary while it has an unplaced
+    pattern neighbor or is a window bound of an unplaced vertex, that is
+    while the next vertex of its part on either side is unplaced.
 
-    - ``least``: the placed vertex is pure, so the step expands each
-      parent by its least image.
-    - ``reduce``: the pure positions its Pareto pass reduces, or none
-      where the pass would keep every state: on a least-image step with
-      one pure coordinate, and on an inherited step (see the module).
+    A boundary vertex with every pattern neighbor placed is kept only as
+    a window bound.  If it bounds unplaced vertices on its right only, a
+    smaller image allows every completion a larger one allows; if on its
+    left only, a larger one does: it is a *pure* coordinate with
+    direction 1 or -1.  A vertex bounding on both sides is not pure.
+    The vertex just placed is always kept, for the walk back; if it has
+    no role at all it is pure with direction 1.  Pure coordinates are
+    listed as (position, direction) pairs in pattern-vertex order: that
+    order fixes how a Pareto pass sorts a class, and so which witness is
+    found first.
+
+    - ``pick``: the direction of the placed vertex if it is pure, else
+      0.  A step with a pick expands each parent by its least (1) or
+      greatest (-1) image.
+    - ``reduce``: the pure coordinates its Pareto cut reduces, or none
+      where each class holds one state, so the cut would keep the layer
+      as it is, in order.  On a picking step whose only pure coordinate
+      is the placed vertex, each parent's projection is its class.  On
+      an injective step whose one pure coordinate other than the placed
+      vertex is that of the step before, in the same direction, the
+      step before left one state per class, and two states in one class
+      would have parents in one class.  (With two or more such
+      coordinates the states of a class are incomparable but may be
+      several, and a pass would sort them.)
+    - ``cut_inline``: the cut has one coordinate, not the placed vertex,
+      and runs while the step walks (``_cut_walk_layer``).
     - ``injective``: the step keeps every coordinate of the previous
       boundary, so distinct parents have distinct children.
     - ``shared``: the step is window-only (no pattern neighbor of the
       placed vertex is placed yet) and the previous boundary holds more
-      than its window anchor, so parents with one anchor image share
-      one candidate mask, a whole window.
-
-    A pure (Pareto-reducible) coordinate has all its pattern neighbors
-    placed, so it stays in the boundary only as the last placed vertex
-    of its part: a step has at most two pure coordinates, and at most
-    one for a single-part pattern.  They are listed in pattern-vertex
-    order, not boundary order: that order is what fixes how a Pareto
-    pass sorts a class, and so which witness is found first.
+      than its window bounds, so parents with the same bounds share one
+      candidate mask, a whole window, which the plain walk decodes once.
     """
 
-    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "order", "plan")
+    __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "order", "plan",
+                 "_nbr_mask", "_role_mask")
 
     def __init__(self, pattern: PatternGraph):
         pu = pattern.n_u
@@ -115,127 +164,142 @@ class PatternIndex:
         self.part_count = (pu, pv)
         self.nbrs = [[] for _ in range(self.n)]
         second = pu if pattern.flavor == BIPARTITE else 0
+        nbr_mask = [0] * self.n
         for a, b in pattern.edges:
             x, y = a - 1, second + b - 1
             self.nbrs[x].append(y)
             self.nbrs[y].append(x)
+            nbr_mask[x] |= 1 << y
+            nbr_mask[y] |= 1 << x
         self.deg = [len(x) for x in self.nbrs]
-        self._build_order()
+        self._nbr_mask = nbr_mask
+        # A placed vertex stays in the boundary while one of its pattern
+        # neighbors or of the vertices next to it in its part is unplaced.
+        role = nbr_mask[:]
+        for first, last in ((0, pu - 1), (pu, pu + pv - 1)):
+            for q in range(first, last):
+                role[q] |= 1 << q + 1
+                role[q + 1] |= 1 << q
+        self._role_mask = role
+        self._compile(self._search_order())
 
-    def _boundary_at(self, i, j):
-        """Vertices with a neighbor beyond prefix (i, j), given flat ids."""
-        out = []
-        for p in range(self.n):
-            if self.part[p] == 0 and self.idx[p] > i:
-                continue
-            if self.part[p] == 1 and self.idx[p] > j:
-                continue
-            for q in self.nbrs[p]:
-                beyond = self.idx[q] > (i if self.part[q] == 0 else j)
-                if beyond:
-                    out.append(p)
-                    break
-        return out
+    def _search_order(self):
+        """A placement order of low estimated peak and total state count.
 
-    def _prefix_cost(self, i, j):
-        """Estimated log of the state count at prefix (i, j).
-
-        A boundary vertex with no placed pattern neighbor ranges over a
-        window of the host, one with a placed neighbor over a host
-        neighborhood, so they are weighted very differently.
+        The estimated log of the state count once a set of vertices is
+        placed sums a weight per boundary vertex: 2 for one with a
+        placed pattern neighbor, which ranges over a host neighborhood,
+        and 8 for one without, which ranges over a window of the host.
+        Placing p changes only the weights of p and of the placed
+        vertices whose role it ends or changes.  A beam search over
+        placed sets extends the ``ORDER_BEAM`` best sets by one vertex
+        each per round, scoring a path by the largest and then the
+        summed estimate over its prefixes.  Ties keep the path found
+        first, from the better set and the smaller vertex, so the order
+        is deterministic.  Polynomial in the number n of pattern
+        vertices: n rounds of at most ``ORDER_BEAM * n`` extensions.
         """
-        def placed(q):
-            return self.idx[q] <= (i if self.part[q] == 0 else j)
+        n = self.n
+        nbr_mask, role_mask = self._nbr_mask, self._role_mask
+        beam = [(0, 0, 0, 0, ())]
+        for _ in range(n):
+            grown = {}
+            for peak, total, cost, placed, order in beam:
+                for p in range(n):
+                    bit = 1 << p
+                    if placed & bit:
+                        continue
+                    after = placed | bit
+                    free = ~after
+                    c = cost
+                    if role_mask[p] & free:
+                        c += 2 if nbr_mask[p] & placed else 8
+                    # Each placed vertex touched had p as an unplaced
+                    # reason to stay, so it weighed in before.
+                    touched = role_mask[p] & placed
+                    while touched:
+                        low = touched & -touched
+                        touched ^= low
+                        q = low.bit_length() - 1
+                        nb = nbr_mask[q]
+                        c -= 2 if nb & placed else 8
+                        if role_mask[q] & free:
+                            c += 2 if nb & after else 8
+                    top = c if c > peak else peak
+                    cur = grown.get(after)
+                    if (cur is None or top < cur[0]
+                            or top == cur[0] and total + c < cur[1]):
+                        grown[after] = (top, total + c, c, after, order + (p,))
+            beam = sorted(grown.values(), key=_SCORE)[:ORDER_BEAM]
+        return list(beam[0][4])
 
-        total = 0
-        for p in self._boundary_at(i, j):
-            if any(placed(q) for q in self.nbrs[p]):
-                total += 2
-            else:
-                total += 8
-        return total
+    def _compile(self, order):
+        """Set ``order`` and compile each of its steps into ``plan``.
 
-    def _build_order(self):
-        """Minimax merge of the two part sequences by estimated state count."""
-        pu, pv = self.part_count
-        INF = (float("inf"),) * 2
-        c = self._prefix_cost(0, 0)
-        best = {(0, 0): (c, c)}
-        choice = {}
-        for i in range(pu + 1):
-            for j in range(pv + 1):
-                if (i, j) == (0, 0):
-                    continue
-                up = best.get((i - 1, j), INF)
-                left = best.get((i, j - 1), INF)
-                step = 0 if up <= left else 1
-                prev = left if step else up
-                c = self._prefix_cost(i, j)
-                best[i, j] = (max(prev[0], c), prev[1] + c)
-                choice[i, j] = step
-        # Walk the choices back from the full prefix, recording the
-        # vertex each step placed.
-        order = []
-        i, j = pu, pv
-        while (i, j) != (0, 0):
-            if choice[i, j] == 0:
-                i -= 1
-                order.append(i)
-            else:
-                j -= 1
-                order.append(pu + j)
-        order.reverse()
-        self.order = order
+        Sound for any order of the vertices: the window bounds, the
+        placed neighbors and the pure coordinates are all read off the
+        set placed so far.
+        """
+        part, idx, part_count = self.part, self.idx, self.part_count
+        nbr_mask, role_mask = self._nbr_mask, self._role_mask
+        self.order = list(order)
         self.plan = []
-        placed = set()
+        placed = 0
         old_boundary = ()
-        old_pure = []
-        lasts = [None, None]
-        prefix = [0, 0]
+        old_pure = ()
         for p in order:
-            pt = self.part[p]
+            pt = part[p]
+            first = p - idx[p] + 1
+            last = first + part_count[pt] - 1
             old_pos = {q: k for k, q in enumerate(old_boundary)}
-            prev_same = lasts[pt]
-            anchor = old_pos[prev_same] if prev_same is not None else None
-            pending = tuple((self.part[q], old_pos[q])
-                            for q in self.nbrs[p] if q in placed)
-            placed.add(p)
-            lasts[pt] = p
-            prefix[pt] += 1
-            keep = set(self._boundary_at(*prefix))
-            for last in lasts:
-                if last is not None:
-                    keep.add(last)
-            # The retained coordinates keep their old order, and the
-            # placed vertex, always the current last of its part, comes
-            # after them.
-            kept = tuple(k for k, q in enumerate(old_boundary) if q in keep)
+            # The nearest placed vertices of the part on either side bound
+            # p's window, so they are in the previous boundary.
+            below = placed & (1 << p) - (1 << first)
+            above = placed & (2 << last) - (2 << p)
+            lo_pos, lo_gap = None, idx[p]
+            if below:
+                lo = below.bit_length() - 1
+                lo_pos, lo_gap = old_pos[lo], p - lo
+            hi_pos, hi_gap = None, last - p
+            if above:
+                hi = (above & -above).bit_length() - 1
+                hi_pos, hi_gap = old_pos[hi], hi - p
+            pending = tuple((part[q], old_pos[q])
+                            for q in self.nbrs[p] if placed >> q & 1)
+            placed |= 1 << p
+            free = ~placed
+            kept = tuple(k for k, q in enumerate(old_boundary) if role_mask[q] & free)
             boundary = tuple(old_boundary[k] for k in kept) + (p,)
-            # Coordinates kept only as window anchors: all their pattern
-            # neighbors are placed, so smaller images dominate.  Listed
-            # in pattern-vertex order, which fixes the order in which a
-            # Pareto pass sorts a class, and so the witness found.
-            pure = [boundary.index(q) for q in sorted(boundary)
-                    if all(r in placed for r in self.nbrs[q])]
-            pure_vertices = [boundary[k] for k in pure]
-            least = p in pure_vertices
+            pos = {q: k for k, q in enumerate(boundary)}
+            pure = []
+            pick = 0
+            for q in sorted(boundary):
+                if nbr_mask[q] & free:
+                    continue
+                left = idx[q] > 1 and free >> q - 1 & 1
+                right = idx[q] < part_count[part[q]] and free >> q + 1 & 1
+                if left and right:
+                    continue
+                d = -1 if left else 1
+                if q == p:
+                    pick = d
+                else:
+                    pure.append((q, d))
             injective = len(kept) == len(old_boundary)
-            inherited = (injective and not least and len(pure) == 1
-                         and pure_vertices == old_pure)
-            self.plan.append((
-                pt,
-                anchor,
-                _tuple_getter(kept),
-                pending,
-                self.deg[p],
-                least,
-                () if inherited or (least and len(pure) == 1) else tuple(pure),
-                injective,
-                not pending and len(old_boundary) > (anchor is not None),
-                self.part_count[pt] - self.idx[p],
-            ))
+            # ``pure`` holds the pure coordinates other than p here.
+            skip = ((injective and len(pure) == 1 and pure == old_pure)
+                    or (pick and not pure))
+            if pick:
+                pure.append((p, pick))
+                pure.sort()
+            reduce = () if skip else tuple((pos[q], d) for q, d in pure)
+            self.plan.append(_Step(
+                pt, lo_pos, lo_gap, hi_pos, hi_gap, _tuple_getter(kept), pending,
+                self.deg[p], pick, reduce, len(reduce) == 1 and not pick, injective,
+                not pending
+                and len(old_boundary) > (lo_pos is not None) + (hi_pos is not None)))
             old_boundary = boundary
-            old_pure = pure_vertices
+            old_pure = pure
 
 
 @lru_cache(maxsize=512)
@@ -282,31 +346,41 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
 
     The pattern and the host are both read linearly, a cyclic one from
     vertex 1 (``contains`` searches the rotations).  A state's
-    candidates for the next vertex are one bitmask: the step's pool (the
-    window up to the vertex's upper bound) with the bits below the
-    window anchor cleared, ANDed with the host neighborhood of each
-    placed pattern neighbor.  Its set bits are walked in ascending order
-    and kept if their degree is high enough.
+    candidates for the next vertex are one bitmask: its window, from the
+    image of the nearest placed vertex of the part on the left plus the
+    index gap (or from the vertex's index) up to that of the nearest one
+    on the right minus the gap (or to the end of the host part, less
+    room for the vertices after it), ANDed with the host neighborhood of
+    each placed pattern neighbor.  Its set bits are walked in ascending
+    order and kept if their degree is high enough.
 
     Every step whose boundary has a pure coordinate keeps only the
-    Pareto-minimal states it produces, and the plan fixes how.  When the
-    placed vertex is itself pure, every state one parent produces has
-    that parent's projection and differs only in the image, so the cut
-    keeps at most the parent's least candidate: the step is expanded
-    once per parent by least images (``_least_image_layer``), and
-    otherwise by the plain walk.  Then ``_pareto_reduce`` cuts the layer
-    along the step's ``reduce`` positions, if any.  The cut is sound: it
-    decides only which embedding is found first.
+    Pareto-best states it produces, and the plan fixes how:
 
-    On a shared step the mask depends only on the window anchor, so the
-    plain walk decodes it once per anchor image into its images of high
-    enough degree.  Elsewhere each parent walks its own mask: a mask cut
-    by placed neighbors' neighborhoods is narrow, and decoding it is
+    - when the placed vertex is itself pure, every state one parent
+      produces has that parent's projection and differs only in the
+      image, so the cut keeps at most the parent's least or greatest
+      candidate, as its direction says: the step is expanded once per
+      parent by that image (``_extreme_image_layer``);
+    - when its one pure coordinate is another vertex, the plain walk
+      keeps only the best child of each class as it goes
+      (``_cut_walk_layer``), so the children the cut drops are never
+      stored;
+    - otherwise the plain walk runs, and ``_pareto_reduce`` then cuts
+      the layer along the step's ``reduce`` pairs, if any.
+
+    The cut is sound: it decides only which embedding is found first.
+
+    On a shared step the mask depends only on the window bounds, so the
+    plain walk decodes it once per mask into its images of high enough
+    degree.  Elsewhere each parent walks its own mask: a mask cut by
+    placed neighbors' neighborhoods is narrow, and decoding it is
     cheaper than looking it up.  An injective step stores its children
     without a duplicate test.
 
-    Deterministic: layers are expanded in insertion order and candidates
-    ascend, so the first witness found is always the same.
+    Deterministic: the placement order is a function of the pattern,
+    layers are expanded in insertion order and candidates ascend, so the
+    first witness found is always the same.
     """
     trail = _layers(P, H)
     if len(trail) < len(P.plan):
@@ -333,22 +407,29 @@ def _layers(P: PatternIndex, H: HostIndex) -> list[dict]:
 
     # states: boundary image tuple -> the parent state's key
     states = {(): None}
-    for (pt, prev_pos, get_rest, pending_pos, need_deg, least, reduce,
-         injective, shared, hi_off) in P.plan:
-        # Candidates allowed by the window, the same for every state.
-        pool = (2 << (sizes[pt] - hi_off)) - 2
-        degs = H.deg[pt]
-        if least:
-            new_states = _least_image_layer(states, pool, prev_pos, pending_pos,
-                                            adj, get_rest, injective)
+    for (pt, lo_pos, lo_gap, hi_pos, hi_gap, get_rest, pending_pos, need_deg,
+         pick, reduce, cut_inline, injective, shared) in P.plan:
+        hi_end = sizes[pt] - hi_gap
+        if pick:
+            new_states = _extreme_image_layer(
+                states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos, adj,
+                get_rest, injective, pick < 0)
+        elif cut_inline:
+            new_states = _cut_walk_layer(
+                states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos, adj,
+                get_rest, H.deg[pt], need_deg, reduce[0])
         else:
+            degs = H.deg[pt]
             new_states = {}
             # candidate mask -> its images of high enough degree, as
             # 1-tuples; kept on shared steps only
             images = {}
             for key in states:
-                lo = key[prev_pos] + 1 if prev_pos is not None else 1
-                cand = pool >> lo << lo
+                lo = key[lo_pos] + lo_gap if lo_pos is not None else lo_gap
+                hi = key[hi_pos] - hi_gap if hi_pos is not None else hi_end
+                if hi < lo:
+                    continue
+                cand = (2 << hi) - (1 << lo)
                 for qt, qp in pending_pos:
                     cand &= adj[qt][key[qp]]
                 if not cand:
@@ -379,51 +460,92 @@ def _layers(P: PatternIndex, H: HostIndex) -> list[dict]:
                                 new_states[new_key] = key
         if not new_states:
             return trail
-        if reduce:
+        if reduce and not cut_inline:
             new_states = _pareto_reduce(new_states, reduce)
         trail.append(new_states)
         states = new_states
     return trail
 
 
-def _least_image_layer(states, pool, prev_pos, pending_pos, adj, get_rest,
-                       injective):
+def _cut_walk_layer(states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos,
+                    adj, get_rest, degs, need_deg, pure):
+    """The plain walk of a step with one pure coordinate, not the placed
+    vertex, cut as it goes.
+
+    The coordinate sits at position k of ``get_rest(key)`` with
+    direction d, and a child's class is the rest of its parent's
+    projection plus its image.  Each class keeps the child whose
+    coordinate is best, the first one found among equals, and classes
+    keep the order they first appear in: the layer is the plain walk's
+    cut by ``_pareto_reduce``, without storing the children the cut
+    drops.
+    """
+    k, d = pure
+    # class -> (signed coordinate, child, parent)
+    best = {}
+    for key in states:
+        lo = key[lo_pos] + lo_gap if lo_pos is not None else lo_gap
+        hi = key[hi_pos] - hi_gap if hi_pos is not None else hi_end
+        if hi < lo:
+            continue
+        cand = (2 << hi) - (1 << lo)
+        for qt, qp in pending_pos:
+            cand &= adj[qt][key[qp]]
+        if not cand:
+            continue
+        rest = get_rest(key)
+        base = rest[:k] + rest[k + 1:]
+        v = rest[k] * d
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            if degs[h] >= need_deg:
+                cls = base + (h,)
+                cur = best.get(cls)
+                if cur is None or v < cur[0]:
+                    best[cls] = (v, rest + (h,), key)
+    return {child: parent for _, child, parent in best.values()}
+
+
+def _extreme_image_layer(states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end,
+                         pending_pos, adj, get_rest, injective, greatest):
     """The Pareto-cut layer of a step placing a pure coordinate.
 
     Every state one parent produces has that parent's projection
     ``get_rest(key)`` and differs only in the image, so per projection
-    class the cut keeps the least candidate, with the first parent
-    giving it, in the order the classes first appear.  The placed vertex
-    is pure, so all its pattern neighbors are placed and each candidate
-    lies in the host neighborhoods of their distinct images: its degree
-    is always high enough, and the least candidate is the lowest bit.
-    On an injective step the projection keeps every coordinate, so each
-    parent is its own class and keeps its own least candidate.  Either
-    way each class ends with one state, which is why an inherited step
-    after this one has no Pareto pass.
+    class the cut keeps the best candidate, the least one or, when
+    ``greatest``, the greatest, with the first parent giving it, in the
+    order the classes first appear.  The placed vertex is pure, so all
+    its pattern neighbors are placed and each candidate lies in the host
+    neighborhoods of their distinct images: its degree is always high
+    enough, and the best candidate is the lowest or the highest bit.  On
+    an injective step the projection keeps every coordinate, so each
+    parent is its own class and keeps its own best candidate.  Either
+    way each class ends with one state.
     """
-    if injective:
-        out = {}
-        for key in states:
-            lo = key[prev_pos] + 1 if prev_pos is not None else 1
-            cand = pool >> lo << lo
-            for qt, qp in pending_pos:
-                cand &= adj[qt][key[qp]]
-            if cand:
-                out[get_rest(key) + ((cand & -cand).bit_length() - 1,)] = key
-        return out
+    out = {}
     best = {}
     for key in states:
-        lo = key[prev_pos] + 1 if prev_pos is not None else 1
-        cand = pool >> lo << lo
+        lo = key[lo_pos] + lo_gap if lo_pos is not None else lo_gap
+        hi = key[hi_pos] - hi_gap if hi_pos is not None else hi_end
+        if hi < lo:
+            continue
+        cand = (2 << hi) - (1 << lo)
         for qt, qp in pending_pos:
             cand &= adj[qt][key[qp]]
-        if cand:
-            h = (cand & -cand).bit_length() - 1
-            rest = get_rest(key)
-            cur = best.get(rest)
-            if cur is None or h < cur[0]:
-                best[rest] = (h, key)
+        if not cand:
+            continue
+        h = cand.bit_length() - 1 if greatest else (cand & -cand).bit_length() - 1
+        if injective:
+            out[get_rest(key) + (h,)] = key
+            continue
+        rest = get_rest(key)
+        cur = best.get(rest)
+        if cur is None or (h > cur[0] if greatest else h < cur[0]):
+            best[rest] = (h, key)
+    if injective:
+        return out
     return {rest + (h,): parent for rest, (h, parent) in best.items()}
 
 
@@ -438,42 +560,59 @@ def _tuple_getter(indices):
 
 
 def _pareto_reduce(states: dict, pure: tuple) -> dict:
-    """Keep only states whose pure coordinates are Pareto-minimal within
+    """Keep only states whose pure coordinates are Pareto-best within
     each class of equal non-pure coordinates.
 
-    There are at most two pure coordinates (``PatternIndex``), listed in
-    pattern-vertex order, so a class sorted by (first, second) keeps a
-    state exactly when its second coordinate is below that of every
-    state kept before it.  Classes keep the order they first appear in,
-    and a layer of one state is its own cut.
+    ``pure`` lists (position, direction) pairs in pattern-vertex order;
+    direction 1 means smaller is better and -1 larger.  A class sorted
+    by its signed pure coordinates in that order keeps a state exactly
+    when no state kept before it is at least as good in every one: with
+    two coordinates, when its second is better than that of every state
+    kept before it.  Classes keep the order they first appear in, and a
+    layer of one state is its own cut.
     """
     if len(states) < 2:
         return states
     if len(pure) == 1:
-        # Single monotone coordinate: one pass keeping the least value
+        # Single monotone coordinate: one pass keeping the best value
         # per class, with C-level slicing for the class key.
-        k0 = pure[0]
+        ((k0, d0),) = pure
         k1 = k0 + 1
         best = {}
         for key in states:
             rest = key[:k0] + key[k1:]
             cur = best.get(rest)
-            if cur is None or key[k0] < cur[k0]:
+            if cur is None or (key[k0] - cur[k0]) * d0 < 0:
                 best[rest] = key
         return {key: states[key] for key in best.values()}
-    k0, k1 = pure
-    a, b = sorted(pure)
+    width = len(next(iter(states)))
+    positions = {k for k, _ in pure}
+    get_class = _tuple_getter([k for k in range(width) if k not in positions])
     groups = {}
     for key in states:
-        groups.setdefault(key[:a] + key[a + 1:b] + key[b + 1:], []).append(key)
+        groups.setdefault(get_class(key), []).append(key)
     out = {}
-    by_anchors = itemgetter(k0, k1)
+    if len(pure) == 2:
+        (k0, d0), (k1, d1) = pure
+        if d0 > 0 and d1 > 0:
+            signed = itemgetter(k0, k1)
+        else:
+            def signed(key):
+                return key[k0] * d0, key[k1] * d1
+        for keys in groups.values():
+            keys.sort(key=signed)
+            least = None
+            for key in keys:
+                second = key[k1] * d1
+                if least is None or second < least:
+                    least = second
+                    out[key] = states[key]
+        return out
     for keys in groups.values():
-        keys.sort(key=by_anchors)
-        least = None
-        for key in keys:
-            if least is None or key[k1] < least:
-                least = key[k1]
+        kept = []
+        for vec, key in sorted((tuple(key[k] * d for k, d in pure), key) for key in keys):
+            if not any(all(a <= b for a, b in zip(w, vec)) for w in kept):
+                kept.append(vec)
                 out[key] = states[key]
     return out
 

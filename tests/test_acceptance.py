@@ -164,8 +164,8 @@ _BIPARTITE_VALUES = {}
 
 
 def test_criterion_05_solver_exactness():
-    """Branch and bound equals maximization over all subgraphs of the
-    complete host; witnesses validate."""
+    """The row-transfer DP (``solver._row_table``) equals maximization
+    over all subgraphs of the complete host; witnesses validate."""
     t0 = time.time()
     cases = _solver_cases()
     for flavor, n, m, pattern in cases:

@@ -459,7 +459,7 @@ def test_cli_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "cli_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "01ec59eb4fdd9f2f2be41fc22b880e42118c76989e2562558e8e5250a7bb7e16")
+        "4032c7cf64d1c4a4c75ad5e86ad17c7c157b481e6c7bf44e7b403b3b5c7dc833")
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordex.catalog import complete_ordered, keszegh_h, sailboat
 from ordex.constructions import power_distance_graph
 from ordex.containment import (EdgelessPatternError, FlavorMismatchError,
-                               HostIndex, PatternIndex, _layers,
-                               _least_image_layer, _pareto_reduce, contains,
-                               embedding_is_valid, find_embedding)
+                               HostIndex, PatternIndex, _cut_walk_layer,
+                               _extreme_image_layer, _layers, _pareto_reduce,
+                               contains, embedding_is_valid, find_embedding)
 from ordex.graphs import (bipartite_graph, cyclic_graph, ordered_graph,
                           rotate_cyclic, rotations)
 
@@ -161,111 +162,220 @@ def test_oracle_agreement_cyclic_cut_everywhere(host, pattern):
     _agrees_with_oracle_cutting_every_layer(host, pattern)
 
 
-# Positions of the projection and the flags in a plan step.
-GET_REST, LEAST, REDUCE, INJECTIVE, SHARED = 2, 5, 6, 7, 8
+def _in_order(pattern, seed):
+    """The pattern's index compiled for a seeded random placement order."""
+    P = PatternIndex(pattern)
+    P._compile(random.Random(seed).sample(range(P.n), P.n))
+    return P
+
+
+def _agrees_with_oracle_in_any_order(host, pattern, seed):
+    """Every placement order gives the oracle's answer, with the plan's
+    own passes and with a pass at every step that has a pure coordinate,
+    and in both the plan changes no layer."""
+    with patch("ordex.containment.pattern_index", lambda p: _in_order(p, seed)):
+        _agrees_with_oracle(host, pattern)
+    with patch("ordex.containment.pattern_index",
+               lambda p: _flags_cleared(_in_order(p, seed))):
+        _agrees_with_oracle(host, pattern)
+    _skips_keep_every_state(host, pattern, lambda p: _in_order(p, seed))
+
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@given(*ORDERED_PAIRS, SEEDS)
+# An order with a step that drops a coordinate and keeps the pure
+# coordinates of the step before: its pass still drops states.
+@example(ordered_graph(7, [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                           (3, 6), (4, 6), (5, 6)]),
+         ordered_graph(6, [(1, 2), (2, 5)]), 1017112434)
+@settings(max_examples=150, deadline=None)
+def test_oracle_agreement_ordered_any_order(host, pattern, seed):
+    _agrees_with_oracle_in_any_order(host, pattern, seed)
+
+
+@given(*BIPARTITE_PAIRS, SEEDS)
+# The same for two parts.
+@example(bipartite_graph(7, 7, [(1, 1), (1, 4), (1, 5), (1, 7), (3, 1), (3, 2), (3, 3),
+                                (4, 3), (4, 5), (4, 7), (5, 1), (5, 3), (5, 4), (5, 5),
+                                (6, 1), (6, 3), (6, 4), (6, 5), (6, 7), (7, 2), (7, 3),
+                                (7, 4), (7, 7)]),
+         bipartite_graph(4, 1, [(2, 1), (4, 1)]), 2499564311)
+@settings(max_examples=150, deadline=None)
+def test_oracle_agreement_bipartite_any_order(host, pattern, seed):
+    _agrees_with_oracle_in_any_order(host, pattern, seed)
+
+
+@given(*CYCLIC_PAIRS, SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_oracle_agreement_cyclic_any_order(host, pattern, seed):
+    _agrees_with_oracle_in_any_order(host, pattern, seed)
 
 
 def test_plan_flags_are_pinned():
-    """In H:1 the step placing u3 keeps the whole boundary and the one
-    pure coordinate of the step before it, v3, held only as the window
-    anchor of its part; u3 itself waits for v5: the step is inherited,
-    so it has no Pareto pass, although its boundary has a pure
-    coordinate.  In the hook, a single-part pattern, the only pure
-    coordinate is the vertex just placed, so no step has a pass, and
-    the steps placing vertices 3 and 4 expand by least images.  Every
-    step of the hook's plan but the last keeps the whole boundary; the
-    last leaves only the vertex it places.  No hook step is shared: the
-    window-only steps placing vertices 1 and 2 hold no coordinate
-    besides the anchor.  In H:1 the window-only steps after the first
-    two are shared."""
-    P = PatternIndex(keszegh_h(1))
-    u2, u3, v3 = 1, 2, 9
-    assert all(len(step) == 10 for step in P.plan)
-    assert P.order[4:6] == [u2, u3]
-    assert P.plan[4][REDUCE] == (1,) and P.plan[5][REDUCE] == ()
-    assert P.plan[5][INJECTIVE] and not P.plan[5][LEAST]
-    boundary, pure = _pure_positions(P)[5]
-    assert pure == (1,) and boundary[1] == v3
-    assert [t for t, step in enumerate(P.plan) if step[LEAST]] == [3, 6, 8, 9, 11, 12, 13]
+    """The hook is placed 1, 3, 4, 2.  Vertex 3 is the right bound of
+    vertex 2's window and the left bound of vertex 4's, so it is not
+    pure; once 4 is placed, 1 is pure as the left bound of 2 (least
+    image best) and 3 as its right bound (greatest image best), so that
+    step's pass reduces both in opposite directions.  Vertex 2 comes
+    last, from the two-sided window (img1, img3) ANDed with the
+    neighborhood of img4; it has no role after that, so it is picked by
+    its least image.  In H:1, v5 (flat 11) is placed after its neighbor
+    u3 and after v6 but before v4, so it only bounds v4's window from
+    the right: it is picked by its greatest image.  The window-only
+    steps of H:1 after the first have more in their boundary than their
+    bounds, so they are shared; the hook has none."""
     hook = PatternIndex(HOOK_PATTERN)
-    assert [step[LEAST] for step in hook.plan] == [False, False, True, True]
-    assert [step[INJECTIVE] for step in hook.plan] == [True, True, True, False]
-    assert not any(step[REDUCE] or step[SHARED] for step in hook.plan)
-    assert [t for t, step in enumerate(P.plan) if step[SHARED]] == [4, 5, 7, 10]
+    assert hook.order == [0, 2, 3, 1]
+    assert [step.pick for step in hook.plan] == [0, 0, 0, 1]
+    assert [step.reduce for step in hook.plan] == [(), (), ((0, 1), (1, -1)), ()]
+    assert [step.injective for step in hook.plan] == [True, True, True, False]
+    assert not any(step.shared for step in hook.plan)
+    last = hook.plan[3]
+    assert (last.lo_pos, last.lo_gap, last.hi_pos, last.hi_gap) == (0, 1, 1, 1)
+    assert last.pending == ((0, 2),)
+    P = PatternIndex(keszegh_h(1))
+    v5 = 11
+    t = P.order.index(v5)
+    boundary, pure = _pure_positions(P)[t]
+    assert P.plan[t].pick == -1 and (len(boundary) - 1, -1) in pure
+    assert [t for t, step in enumerate(P.plan) if step.pick] == [1, 4, 8, 10, 13]
+    assert [t for t, step in enumerate(P.plan) if step.shared] == [2, 5, 7, 9, 11]
 
 
 def test_pareto_reduce_sorts_pure_coordinates_in_vertex_order():
     """Pure positions come in pattern-vertex order, which need not be
-    position order: with ``(2, 0)`` a class is sorted by position 2 and
-    then position 0, and the class is the remaining position 1.  The
-    pass keeps the states it keeps with the coordinates laid out in
-    vertex order, in the same order."""
+    position order: with ``((2, 1), (0, 1))`` a class is sorted by
+    position 2 and then position 0, and the class is the remaining
+    position 1.  The pass keeps the states it keeps with the coordinates
+    laid out in vertex order, in the same order.  A direction of -1
+    makes larger values better: negating a coordinate and its direction
+    keeps the same states."""
     states = {(0, 5, 4): "a", (9, 6, 0): "b", (2, 5, 2): "c", (3, 5, 1): "d",
               (1, 5, 2): "e"}
-    out = _pareto_reduce(states, (2, 0))
+    out = _pareto_reduce(states, ((2, 1), (0, 1)))
     assert list(out.items()) == [((3, 5, 1), "d"), ((1, 5, 2), "e"),
                                  ((0, 5, 4), "a"), ((9, 6, 0), "b")]
     in_vertex_order = {(x2, x0, c): v for (x0, c, x2), v in states.items()}
-    assert list(_pareto_reduce(in_vertex_order, (0, 1)).values()) == list(out.values())
+    assert (list(_pareto_reduce(in_vertex_order, ((0, 1), (1, 1))).values())
+            == list(out.values()))
+    negated = {(-x0, c, x2): v for (x0, c, x2), v in states.items()}
+    assert (list(_pareto_reduce(negated, ((2, 1), (0, -1))).values())
+            == list(out.values()))
+    # One coordinate with larger values better.
+    assert list(_pareto_reduce(states, ((0, -1),))) == [(0, 5, 4), (9, 6, 0), (2, 5, 2),
+                                                        (3, 5, 1)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pareto_reduce_keeps_exactly_the_undominated_states(data):
+    """Position 0 is the class; one to four pure coordinates follow, in
+    a random vertex order and in either direction.  In each class a
+    state is kept exactly when no other state is at least as good in
+    every pure coordinate, and classes keep the order they first appear
+    in."""
+    count = data.draw(st.integers(1, 4))
+    pure = tuple(zip(data.draw(st.permutations(range(1, count + 1))),
+                     data.draw(st.lists(st.sampled_from((1, -1)),
+                                        min_size=count, max_size=count))))
+    keys = data.draw(st.lists(st.tuples(st.integers(0, 1), *[st.integers(0, 3)] * count),
+                              unique=True, min_size=2, max_size=40))
+    states = {key: i for i, key in enumerate(keys)}
+
+    def dominates(a, b):
+        return a != b and a[0] == b[0] and all(a[k] * d <= b[k] * d for k, d in pure)
+
+    out = _pareto_reduce(states, pure)
+    assert set(out) == {key for key in keys if not any(dominates(o, key) for o in keys)}
+    assert all(out[key] == states[key] for key in out)
+    order = list(dict.fromkeys(key[0] for key in keys))
+    assert [key[0] for key in out] == sorted((key[0] for key in out), key=order.index)
 
 
 def _pure_positions(P):
-    """Each step's boundary and its pure positions, in pattern-vertex
-    order, found from the definitions: the boundary is rebuilt by
-    running each step's projection on the vertex ids, and a boundary
-    vertex is pure once all its pattern neighbors are placed."""
+    """Each step's boundary and its pure (position, direction) pairs, in
+    pattern-vertex order, found from the definitions: the boundary is
+    rebuilt by running each step's projection on the vertex ids; a
+    boundary vertex is pure once all its pattern neighbors are placed,
+    unless both vertices next to it in its part are unplaced.  It bounds
+    windows on its left when the vertex before it is unplaced, so a
+    larger image is better (-1), and otherwise a smaller one (1)."""
     out = []
     boundary = ()
     for t, (p, step) in enumerate(zip(P.order, P.plan)):
-        boundary = step[GET_REST](boundary) + (p,)
+        boundary = step.get_rest(boundary) + (p,)
         placed = set(P.order[:t + 1])
-        out.append((boundary, tuple(boundary.index(q) for q in sorted(boundary)
-                                    if all(r in placed for r in P.nbrs[q]))))
+
+        def unplaced(q, side):
+            r = q + side
+            return (0 <= r < P.n and P.part[r] == P.part[q] and r not in placed)
+
+        pure = []
+        for q in sorted(boundary):
+            if (all(r in placed for r in P.nbrs[q])
+                    and not (unplaced(q, -1) and unplaced(q, 1))):
+                pure.append((boundary.index(q), -1 if unplaced(q, -1) else 1))
+        out.append((boundary, tuple(pure)))
     return out
 
 
 def _flags_cleared(P):
-    """P with every step's least, injective and shared flags cleared and
+    """P with every step's pick, injective and shared flags cleared and
     a Pareto pass over all its pure positions: every layer is expanded by
     the plain walk and then cut, every child goes through the duplicate
     test and every parent walks its own candidate mask."""
     Q = copy.copy(P)
-    Q.plan = [step[:LEAST] + (False, pure, False, False) + step[SHARED + 1:]
+    Q.plan = [step._replace(pick=0, reduce=pure, cut_inline=False, injective=False,
+                            shared=False)
               for step, (_, pure) in zip(P.plan, _pure_positions(P))]
     return Q
 
 
-def _skips_keep_every_state(host, pattern):
-    """The plan changes no layer.  A step expands by least images
-    exactly when its placed vertex, last in its boundary, is pure, and
-    its pass reduces all its pure positions or none.  With the flags
-    cleared and a pass at every step with a pure coordinate, every layer
-    comes back the same, in order, with the same parents: so each pass
-    the plan omits would have returned its layer unchanged, in order,
-    and each least-image layer is the cut of the plain walk.  Returns
-    how many inherited steps (a pure coordinate, no least images and no
-    pass) the search ran: only two-part patterns have them, since in a
-    single part the only pure coordinate is the vertex just placed."""
+def _skips_keep_every_state(host, pattern, index=PatternIndex):
+    """The plan changes no layer.  A step picks an extreme image exactly
+    when its placed vertex, last in its boundary, is pure, in its
+    direction, and its pass reduces all its pure positions or none.  With
+    the flags cleared and a pass at every step with a pure coordinate,
+    every layer comes back the same, in order, with the same parents: so
+    each pass the plan omits would have returned its layer unchanged, in
+    order, and each least- or greatest-image layer is the cut of the
+    plain walk.  Returns how many inherited steps (a pure coordinate, no
+    pick and no pass) the search ran."""
     if not pattern.edges:
         return 0
     H = HostIndex(host)
     inherited = 0
     for _, rotated in rotations(pattern):
-        P = PatternIndex(rotated)
+        P = index(rotated)
         steps = list(zip(P.plan, _pure_positions(P)))
         for step, (boundary, pure) in steps:
-            assert step[LEAST] == (len(boundary) - 1 in pure)
-            assert step[REDUCE] in ((), pure)
+            picked = [d for k, d in pure if k == len(boundary) - 1]
+            assert step.pick == (picked[0] if picked else 0)
+            assert step.reduce in ((), pure)
         layers = [list(layer.items()) for layer in _layers(P, H)]
         assert layers == [list(layer.items()) for layer in _layers(_flags_cleared(P), H)]
         inherited += sum(1 for step, (_, pure) in steps[:len(layers)]
-                         if pure and not step[LEAST] and not step[REDUCE])
+                         if pure and not step.pick and not step.reduce)
     return inherited
+
+
+# H:1 placed part by part from left to right, u and v merged: the step
+# placing u3 keeps the whole boundary and the one pure coordinate of the
+# step before it, v3, and places a vertex that is not pure.
+H1_LEFT_TO_RIGHT = [7, 8, 0, 9, 1, 2, 3, 10, 11, 12, 13, 4, 5, 6]
 
 
 def test_inherited_skip_fires_on_the_tripling_host():
     host = power_distance_graph(18, 3, "bipartite")
-    assert _skips_keep_every_state(host, keszegh_h(1)) > 0
+
+    def left_to_right(p):
+        P = PatternIndex(p)
+        P._compile(H1_LEFT_TO_RIGHT)
+        return P
+
+    assert _skips_keep_every_state(host, keszegh_h(1), left_to_right) > 0
 
 
 @given(*ORDERED_PAIRS)
@@ -288,14 +398,28 @@ def test_skipped_passes_keep_every_state_cyclic(host, pattern):
 
 def test_small_hosts_are_cut_too():
     """A layer is cut however few states it holds: the sailboat as its
-    own host fills no layer past a handful of states, and still its two
-    steps placing a pure vertex expand by least images and its three
-    steps with a pass run it."""
-    with patch("ordex.containment._least_image_layer",
-               wraps=_least_image_layer) as least, \
+    own host fills no layer past a handful of states, and still its
+    step placing a pure vertex expands by its least image, its two steps
+    with one pure coordinate cut while they walk and its two steps with
+    more run a pass."""
+    with patch("ordex.containment._extreme_image_layer",
+               wraps=_extreme_image_layer) as pick, \
+            patch("ordex.containment._cut_walk_layer", wraps=_cut_walk_layer) as inline, \
             patch("ordex.containment._pareto_reduce", wraps=_pareto_reduce) as reduce:
         assert contains(sailboat(), sailboat()) is not None
-    assert (least.call_count, reduce.call_count) == (2, 3)
+    assert (pick.call_count, inline.call_count, reduce.call_count) == (1, 2, 2)
+
+
+def test_peak_layer_stays_small():
+    """Placing a window-only vertex before the neighbor that pins it
+    made its whole window one layer: 36,470 states for H:1 on the
+    tripling host at n = 60 and 21,115 for the hook on the doubling host
+    at n = 208 when each part was placed left to right.  The searched
+    order keeps every layer of both proofs under 5,000 states."""
+    for pattern, host in ((keszegh_h(1), power_distance_graph(60, 3, "bipartite")),
+                          (HOOK_PATTERN, power_distance_graph(208, 2, "ordered"))):
+        layers = _layers(PatternIndex(pattern), HostIndex(host))
+        assert layers and max(map(len, layers)) <= 5000
 
 
 @given(bipartite_graphs_(max_n=6, max_m=6))
@@ -395,15 +519,15 @@ WITNESS_PATTERNS = {
 
 # Recorded once; a change here means the search order changed.
 WITNESSES = {
-    'hook#1': {'u_map': [6, 7, 12, 16]},
-    'hook#2': {'u_map': [5, 11, 18, 21]},
-    'hook#3': {'u_map': [5, 7, 10, 11]},
-    'H:1#1': {'u_map': [2, 3, 5, 6, 8, 9, 17], 'v_map': [1, 3, 6, 7, 9, 12, 23]},
-    'H:1#2': {'u_map': [2, 4, 6, 8, 15, 16, 17], 'v_map': [1, 5, 13, 19, 20, 22, 24]},
-    'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 12], 'v_map': [4, 6, 8, 10, 19, 20, 24]},
-    'sailboat#1': {'u_map': [5, 6, 9], 'v_map': [1, 3, 7, 23]},
-    'sailboat#2': {'u_map': [2, 8, 16], 'v_map': [1, 3, 5, 6]},
-    'sailboat#3': {'u_map': [3, 4, 10], 'v_map': [3, 7, 16, 21]},
+    'hook#1': {'u_map': [1, 2, 24, 28]},
+    'hook#2': {'u_map': [1, 4, 26, 30]},
+    'hook#3': {'u_map': [1, 2, 17, 31]},
+    'H:1#1': {'u_map': [2, 3, 5, 6, 8, 9, 22], 'v_map': [1, 3, 6, 8, 9, 12, 23]},
+    'H:1#2': {'u_map': [2, 6, 7, 8, 10, 14, 24], 'v_map': [1, 5, 13, 18, 19, 20, 21]},
+    'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 24], 'v_map': [4, 6, 8, 11, 19, 20, 24]},
+    'sailboat#1': {'u_map': [5, 6, 9], 'v_map': [1, 3, 9, 23]},
+    'sailboat#2': {'u_map': [2, 8, 19], 'v_map': [1, 2, 5, 10]},
+    'sailboat#3': {'u_map': [3, 4, 10], 'v_map': [3, 7, 20, 21]},
     'crossing#1': {'u_map': [1, 2, 3, 6]},
     'crossing#2': {'u_map': [4, 6, 7, 9]},
     'crossing#3': {'u_map': [2, 6, 7, 9]},
@@ -429,9 +553,10 @@ def test_contains_digest_is_pinned():
     of every flavor, the doubling, tripling and C4-free avoiding hosts)
     returns byte-identical results to the pinned digest.  Every layer
     with a pure coordinate is cut, whatever its size, and the corpus's
-    patterns cut layers both by least images and by the Pareto pass,
-    with one and with two pure coordinates, so a change to the cut rule
-    moves this digest."""
+    patterns cut layers by least and by greatest images, while walking
+    and by the Pareto pass, with one, two and more pure coordinates in
+    both directions, so a change to the cut rule or to the placement
+    order search moves this digest."""
     import os
     import subprocess
     import sys
@@ -444,4 +569,4 @@ def test_contains_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "contains_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "27dd55481374ae150683651a292c57821fee5a3bf3f365137ae3a273e0eb0079")
+        "34d066c82e1e7f85e72e5ee43701e901960d25c83f0b49a957ea20a9e50f4317")
