@@ -50,6 +50,9 @@ witness is rebuilt row by row, each row the first mask that still
 reaches the optimum in the order that makes the sorted edge tuple the
 lexicographically least among optimal hosts, so values and witnesses
 are reproducible run to run.
+
+Permutation avoiders are counted apart from the DP, on West's
+generating tree (``count_avoiding_permutations``).
 """
 
 from __future__ import annotations
@@ -482,10 +485,16 @@ def count_avoiding_permutations(n: int, pi,
                                 caps: SolverCaps = DEFAULT_CAPS) -> int:
     """Number of n-permutations avoiding the permutation pattern pi.
 
-    Backtracking over prefixes; a prefix is abandoned as soon as its
-    last entry completes an occurrence of the pattern, so only avoiding
-    prefixes are ever extended.  The pattern must be non-empty and n
-    non-negative.
+    A walk of the generating tree (West, *Generating trees and forbidden
+    subsequences*, Discrete Math. 157, 1996).  Deleting the maximum of an
+    avoider leaves an avoider, so every avoider of length L + 1 is an
+    avoider sigma of length L with L + 1 inserted at one of the sites
+    0..L.  With k = len(pi), q the position of k in pi and pi' the
+    pattern pi with k removed, site p is killed exactly when sigma has an
+    occurrence of pi' whose first q entries lie before p and whose other
+    entries lie at or after p; the other sites are active.  The walk
+    grows each avoider at its active sites and, one short of n, counts
+    them instead.  The pattern must be non-empty and n non-negative.
     """
     pi = as_permutation(pi)
     k = len(pi)
@@ -497,42 +506,31 @@ def count_avoiding_permutations(n: int, pi,
     if k > n:
         # Too short to ever contain the pattern.
         return math.factorial(n)
-    prefix = []
-    # The pattern's positions in value order: k entries form an
-    # occurrence when their values, read in this order, increase.
-    by_value = sorted(range(k), key=lambda t: pi[t])
+    q = pi.index(k)
+    rest = pi[:q] + pi[q + 1:]
+    # The positions of pi' in value order: k - 1 entries of sigma form an
+    # occurrence of pi' when their values, read in this order, increase.
+    by_value = sorted(range(k - 1), key=lambda t: rest[t])
 
-    def last_completes_occurrence():
-        last = prefix[-1]
-        for combo in itertools.combinations(prefix[:-1], k - 1):
-            values = combo + (last,)
+    def walk(sigma):
+        L = len(sigma)
+        active = [True] * (L + 1)
+        for combo in itertools.combinations(range(L), k - 1):
             prev = 0
             for t in by_value:
-                if values[t] < prev:
+                if sigma[combo[t]] < prev:
                     break
-                prev = values[t]
+                prev = sigma[combo[t]]
             else:
-                return True
-        return False
+                lo = combo[q - 1] + 1 if q else 0
+                hi = combo[q] if q < k - 1 else L
+                active[lo:hi + 1] = [False] * (hi + 1 - lo)
+        sites = [p for p in range(L + 1) if active[p]]
+        if L == n - 1:
+            return len(sites)
+        return sum(walk(sigma[:p] + (L + 1,) + sigma[p:]) for p in sites)
 
-    used = [False] * (n + 1)
-
-    def walk():
-        if len(prefix) == n:
-            return 1
-        total = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            prefix.append(v)
-            if not last_completes_occurrence():
-                total += walk()
-            prefix.pop()
-            used[v] = False
-        return total
-
-    return walk()
+    return walk(())
 
 
 @dataclass(frozen=True)

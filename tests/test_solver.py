@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordex.catalog import permutation_matching
@@ -21,6 +21,7 @@ from ordex.solver import (SizeCapError, SolverCaps, count_avoiders,
 
 from oracles import (brute_force_avoider_count, brute_force_embedding,
                      brute_force_max_edges, brute_force_perm_avoiders, catalan)
+from strategies import permutations_up_to
 
 
 def _oracle_contains(host, pattern):
@@ -199,13 +200,50 @@ def test_permutation_counts():
     assert count_avoiding_permutations(3, [1, 2, 3]) == 5
     assert count_avoiding_permutations(8, [1, 3, 2]) == 1430
     assert count_avoiding_permutations(4, [1, 2]) == 1
+    # The cap is reached.
+    assert count_avoiding_permutations(10, [1, 3, 2]) == catalan(10) == 16796
 
 
-@given(st.permutations([1, 2, 3]), st.integers(1, 5))
-@settings(max_examples=40, deadline=None)
+# The Wilf classes of the length-4 patterns and their avoider counts at
+# n = 7 (OEIS A005802, A022558 and A061552).
+WILF_CLASSES_4 = {
+    2761: ("1234", "1243", "1432", "2134", "2143", "2341", "3214", "3412",
+           "3421", "4123", "4312", "4321"),
+    2740: ("1342", "1423", "2314", "2413", "2431", "3124", "3142", "3241",
+           "4132", "4213"),
+    2762: ("1324", "4231"),
+}
+
+
+def test_length_four_wilf_classes_at_seven():
+    patterns = [p for members in WILF_CLASSES_4.values() for p in members]
+    assert sorted(patterns) == sorted(
+        "".join(map(str, p)) for p in itertools.permutations([1, 2, 3, 4]))
+    for value, members in WILF_CLASSES_4.items():
+        for p in members:
+            assert count_avoiding_permutations(7, [int(c) for c in p]) == value, p
+
+
+@given(permutations_up_to(5), st.integers(0, 6))
+@example([1], 4)  # k = 1: every nonempty permutation contains it
+@example([4, 1, 2, 3], 6)  # the maximum first
+@example([1, 2, 3, 4], 6)  # the maximum last
+@example([2, 5, 1, 4, 3], 5)  # k = n
+@settings(max_examples=60, deadline=None)
 def test_permutation_counts_match_brute_force(pi, n):
     assert count_avoiding_permutations(n, list(pi)) == \
         brute_force_perm_avoiders(n, list(pi))
+
+
+@given(st.permutations([1, 2, 3, 4, 5]), st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_permutation_counts_are_symmetry_invariant(pi, n):
+    count = count_avoiding_permutations(n, pi)
+    k = len(pi)
+    assert count_avoiding_permutations(n, pi[::-1]) == count
+    assert count_avoiding_permutations(n, [k + 1 - v for v in pi]) == count
+    assert count_avoiding_permutations(
+        n, [pi.index(v) + 1 for v in range(1, k + 1)]) == count
 
 
 def test_catalan_agreement_small():
