@@ -141,6 +141,25 @@ def find_k_cycle(g: PatternGraph, k: int) -> bool:
     return any(dfs(s, s, 1, {s}) for s in range(1, g.n_u + 1))
 
 
+def brute_force_edges_on_k_cycles(n: int, edges, k: int) -> set:
+    """Edges of every simple k-cycle, found by listing vertex sequences.
+
+    A cycle is listed once: its least vertex first, then the direction
+    whose second vertex is below its last.
+    """
+    adjacent = set(edges) | {(b, a) for a, b in edges}
+    bad = set()
+    for first in range(1, n + 1):
+        for rest in itertools.permutations(range(first + 1, n + 1), k - 1):
+            if rest[0] > rest[-1]:
+                continue
+            cycle = (first,) + rest
+            pairs = [(cycle[i - 1], cycle[i]) for i in range(k)]
+            if all(p in adjacent for p in pairs):
+                bad.update((min(p), max(p)) for p in pairs)
+    return bad
+
+
 def enumerate_tree_patterns(max_edges: int):
     """All bipartite patterns whose underlying graph is a tree, deduplicated
     by the full symmetry group, in canonical order."""

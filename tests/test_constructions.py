@@ -1,11 +1,16 @@
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordex.constructions import (edges_on_k_cycles, power_distance_graph,
                                  random_ck_free, verify_construction)
 from ordex.containment import contains
+from ordex.formats import serialize_graph
 from ordex.graphs import GraphValueError, bipartite_graph, ordered_graph
 
-from oracles import find_k_cycle
+from oracles import brute_force_edges_on_k_cycles, find_k_cycle
 
 HOOK_PATTERN = ordered_graph(4, [(1, 4), (1, 3), (2, 4)])
 
@@ -72,6 +77,90 @@ def test_ck_free_deletion_is_monotone():
     assert set(out.edges) <= set(raw)
     bad = edges_on_k_cycles(n, raw, k)
     assert set(out.edges) == set(raw) - bad
+
+
+# sha256 of serialize_graph(random_ck_free(n, k, seed)).  The `avoid`
+# benchmark, criterion 12 and scripts/contains_digest.py read these host
+# edges, and the contains digest records only answers and witnesses, so
+# only these hashes hold the hosts byte for byte.
+# scripts/calibrate_ckfree.py prints the n = 60 ones.
+CK_FREE_HOSTS = {
+    (60, 4, 0): "7cfa368bf2cb0708a3eab643f76eeed6ca15a5eb21e295931fa93dc23c7a7c9b",
+    (60, 4, 1): "a50c1d479a43dba4064df990d02da4567d12f7d489cdf8d1d6de3c5ac94c6737",
+    (60, 4, 2): "a7c683d19ffed6bda58f216cc4e100a40b4afb92e8e839daf0fada24ffa7332f",
+    (60, 4, 3): "e9cb23ab6198ece99ad2600f6c841d56adb8a986e3703433da94cc5838607985",
+    (60, 4, 4): "792d1093bec4bd50109d0b850931ee855ab1e38ccebb30ab1e001a9f45be1120",
+    (60, 4, 5): "a64425691f8183c33a85d92b8102c9264c7e19991c948dfc1066a1f632320c67",
+    (60, 4, 6): "b79f00bf813283aed4c6babb7422b80fabbe0805dd348605af1f7e95dc2b2f11",
+    (60, 4, 7): "75bcaebf9406586acd6315b20509dcbfc85b7f11eb898b1491d29a31a21ba6ad",
+    (60, 4, 8): "8058c16fea3cd078ec51fb221c3e1d46501973309b9d633dab599d8c492f4e8f",
+    (60, 4, 9): "664df17c2a847d8365d44058e9b875b229420fc065728f450e757266962308d5",
+    (60, 4, 10): "73981648659f9e7ed41c1ee510a54640047b8299a4d2e7aa3b47cbcbddd0c868",
+    (60, 4, 11): "3b6f7a2306c45adf17e6d91ad8fbff1934621a6892a558f60166e965d9cf43e4",
+    (60, 4, 12): "f2c023d9917ab3c1abd727c84a0d384bf6c3118b57941dd925764b69cb158a00",
+    (60, 4, 13): "236aaa7f866d0b823f016a570efd56ecb83f57f617d1309a78a04175d8d6d0db",
+    (60, 4, 14): "de3b7e46e25282fb7458a4333bee062a5455a9201ce4b7370cab575921ab7cc8",
+    (60, 4, 15): "5a9ef0df41839d56d570bb0ca3a58a1207f429168416fbdc7c54b074153b4fac",
+    (60, 4, 16): "10203654ca70e9827d830bc91cf2bd4df0f699d1a00ca1d9d81a46e633caec28",
+    (60, 4, 17): "c97a9eed368c08e62504508685247f09a88ce8cecbff1d8d83078176fd33b710",
+    (60, 4, 18): "d4caf657c7309a7fc5c9b9e6f6bffd5fe053e68b6900ef71ce06e2ecdf339a78",
+    (60, 4, 19): "82ca62a44ce8e4ce161e899f64eea9e8ddd0e45c0a0eb8688314f664095394b5",
+    (100, 4, 0): "89c6888946add7ce7e51d41dcc86b9846fe299c9fb41fd971e16da9d999f431e",
+    (60, 3, 0): "be479d00dc6e802425652b33078af1534767a406fd4d2da9cc301d1e0b0459c5",
+    (200, 5, 0): "6797a3a11d20f0c9e1a4aed4177b897df793eaf860def723203ad046f481d509",
+    (40, 6, 0): "2580934a8da271d2b68c50e97784216e7e1d140cb80a962f2d7076e9d1d803e6",
+}
+
+
+@pytest.mark.parametrize("n,k,seed", sorted(CK_FREE_HOSTS))
+def test_ck_free_hosts_are_pinned(n, k, seed):
+    text = serialize_graph(random_ck_free(n, k, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == CK_FREE_HOSTS[n, k, seed]
+
+
+TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+K4 = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+CHORDED_C4 = [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]
+
+
+@pytest.mark.parametrize("n,edges,k,expected", [
+    (3, TRIANGLE, 3, set(TRIANGLE)),
+    (4, K4, 4, set(K4)),
+    (4, TRIANGLE + [(3, 4)], 3, set(TRIANGLE)),           # pendant edge
+    (4, CHORDED_C4, 3, set(CHORDED_C4)),                  # two triangles
+    (4, CHORDED_C4, 4, set(CHORDED_C4) - {(1, 3)}),       # chord on no C4
+    (3, TRIANGLE, 4, set()),                              # k > n
+    (5, [(2, 1), (3, 2), (4, 3), (1, 4), (5, 4)], 4,
+     {(1, 2), (2, 3), (3, 4), (1, 4)}),                   # edges given b < a
+])
+def test_edges_on_k_cycles_small_cases(n, edges, k, expected):
+    assert edges_on_k_cycles(n, edges, k) == expected
+    assert brute_force_edges_on_k_cycles(n, edges, k) == expected
+
+
+@st.composite
+def graphs_with_cycle_length(draw):
+    """n <= 9 vertices, any edge count from empty to complete, k = 3..7."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    m = draw(st.integers(min_value=0, max_value=len(pairs)))
+    chosen = draw(st.permutations(pairs))[:m]
+    flips = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(chosen, flips)]
+    return n, edges, draw(st.integers(min_value=3, max_value=7))
+
+
+@given(graphs_with_cycle_length())
+@example((3, TRIANGLE, 3))
+@example((4, K4, 4))
+@example((4, TRIANGLE + [(3, 4)], 3))
+@example((4, CHORDED_C4, 3))
+@example((4, CHORDED_C4, 4))
+@example((3, TRIANGLE, 5))
+@settings(max_examples=150, deadline=None)
+def test_edges_on_k_cycles_matches_brute_force(case):
+    n, edges, k = case
+    assert edges_on_k_cycles(n, edges, k) == brute_force_edges_on_k_cycles(n, edges, k)
 
 
 def test_verify_construction_reports():
