@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .containment import Embedding, contains
-from .graphs import (BIPARTITE, ORDERED, GraphValueError, PatternGraph,
-                     bipartite_graph, ordered_graph)
+from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, bipartite_graph
 
 
 def power_distance_graph(n: int, base: int = 2, flavor: str = ORDERED) -> PatternGraph:
@@ -35,11 +34,12 @@ def power_distance_graph(n: int, base: int = 2, flavor: str = ORDERED) -> Patter
     while d < n:
         distances.append(d)
         d *= base
+    edges = [(i, i + d) for d in distances for i in range(1, n - d + 1)]
     if flavor == ORDERED:
-        edges = [(i, i + d) for d in distances for i in range(1, n - d + 1)]
-        return ordered_graph(n, edges)
+        # The pairs are ints with i < i + d already: ``ordered_graph``'s
+        # normalizing pass would copy them unchanged.
+        return PatternGraph(ORDERED, n, 0, tuple(edges))
     if flavor == BIPARTITE:
-        edges = [(i, i + d) for d in distances for i in range(1, n - d + 1)]
         return bipartite_graph(n, n, edges)
     raise GraphValueError(f"power distance graph is ordered or bipartite, not {flavor}")
 
@@ -63,7 +63,8 @@ def random_ck_free(n: int, k: int, seed: int) -> PatternGraph:
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if draw() < p]
     bad = edges_on_k_cycles(n, edges, k)
-    return ordered_graph(n, [e for e in edges if e not in bad])
+    # Drawn as ints with i < j, so built without ``ordered_graph``'s pass.
+    return PatternGraph(ORDERED, n, 0, tuple(e for e in edges if e not in bad))
 
 
 def edges_on_k_cycles(n: int, edges, k: int) -> set:

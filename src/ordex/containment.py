@@ -29,6 +29,11 @@ exponentially often.  Which steps cut, and how, depends on the pattern
 alone and is compiled into its plan (see ``PatternIndex`` and
 ``find_embedding``).
 
+A host full of copies needs only a few states per step, so the search
+first runs with every layer truncated to its first ``PROBE_WIDTH``
+states.  Only when that pass was truncated and found nothing does the
+exhaustive search run, resumed from the first truncated layer.
+
 Cyclic containment is the same search run once per distinct rotation
 of the pattern (``graphs.rotations``), shift 0 first: cutting the host
 circle at vertex 1 turns a cyclic copy into an increasing copy of one
@@ -39,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, le
 from typing import Callable, NamedTuple
 
 from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, rotations
@@ -49,6 +55,8 @@ from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, rotations
 # their (peak, total) estimate.
 ORDER_BEAM = 8
 _SCORE = itemgetter(0, 1)
+# States per layer the bounded first pass of ``find_embedding`` expands.
+PROBE_WIDTH = 4
 
 
 class FlavorMismatchError(GraphValueError):
@@ -314,7 +322,7 @@ class HostIndex:
     vertex x of that part; the neighbors live on the opposite part for
     bipartite hosts.  ``deg[part][x]`` is the degree of x in the host.
     Single-part hosts alias both entries of ``sizes``, ``adj`` and
-    ``deg`` to one vertex set, so adding an edge needs no part branch.
+    ``deg`` to one vertex set, so the edge loop needs no part branch.
     A cyclic host is held as its linear reading.
     """
 
@@ -324,20 +332,16 @@ class HostIndex:
         n_u, n_v = g.n_u, g.n_v
         if g.flavor == BIPARTITE:
             self.sizes = (n_u, n_v)
-            self.adj = ([0] * (n_u + 1), [0] * (n_v + 1))
-            self.deg = ([0] * (n_u + 1), [0] * (n_v + 1))
+            adj_u, adj_v = [0] * (n_u + 1), [0] * (n_v + 1)
         else:
-            adj = [0] * (n_u + 1)
-            deg = [0] * (n_u + 1)
             self.sizes = (n_u, n_u)
-            self.adj = (adj, adj)
-            self.deg = (deg, deg)
-        adj, deg = self.adj, self.deg
+            adj_u = adj_v = [0] * (n_u + 1)
         for a, b in g.edges:
-            adj[0][a] |= 1 << b
-            adj[1][b] |= 1 << a
-            deg[0][a] += 1
-            deg[1][b] += 1
+            adj_u[a] |= 1 << b
+            adj_v[b] |= 1 << a
+        self.adj = (adj_u, adj_v)
+        deg_u = [m.bit_count() for m in adj_u]
+        self.deg = (deg_u, deg_u if adj_v is adj_u else [m.bit_count() for m in adj_v])
 
 
 def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
@@ -378,13 +382,28 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     cheaper than looking it up.  An injective step stores its children
     without a duplicate test.
 
+    The search runs twice at most.  A bounded first pass expands only
+    the first ``PROBE_WIDTH`` states of each layer, after its cut, so a
+    host full of copies answers after a few states per step.  If it
+    reaches the last step its embedding is valid; if no layer exceeded
+    the width it was the exhaustive search, and an empty layer proves
+    that the host avoids the pattern.  Otherwise the exhaustive search
+    resumes from the first layer the width truncated, which the bounded
+    pass built whole from whole layers, and reuses the layers before it.
+
     Deterministic: the placement order is a function of the pattern,
     layers are expanded in insertion order and candidates ascend, so the
     first witness found is always the same.
     """
-    trail = _layers(P, H)
+    trail = _layers(P, H, PROBE_WIDTH)
     if len(trail) < len(P.plan):
-        return None
+        cut = next((t for t, layer in enumerate(trail) if len(layer) > PROBE_WIDTH),
+                   None)
+        if cut is None:
+            return None
+        trail = _layers(P, H, 0, trail[:cut + 1])
+        if len(trail) < len(P.plan):
+            return None
     # Walk parents back to recover the embedding: step t placed its
     # vertex last in the state it produced.
     img = [0] * P.n
@@ -395,20 +414,29 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
     return img
 
 
-def _layers(P: PatternIndex, H: HostIndex) -> list[dict]:
+def _layers(P: PatternIndex, H: HostIndex, width: int = 0,
+            trail: list | tuple = ()) -> list[dict]:
     """The search's layers in plan order, each a dict from state to parent
-    state, up to the first empty one; none if the host is too small."""
+    state, up to the first empty one; none if the host is too small.
+
+    Each layer is stored whole, after its cut.  With a ``width``, only
+    the first ``width`` states of a layer, in insertion order, are
+    expanded into the next one, so the layers after the first one
+    holding more than ``width`` states are built from truncated parents.
+    A ``trail`` of whole layers already built resumes the search after
+    its last layer, expanded in full.
+    """
     part_count = P.part_count
     sizes = H.sizes
-    trail = []
     if part_count[0] > sizes[0] or part_count[1] > sizes[1]:
-        return trail
+        return []
     adj = H.adj
+    trail = list(trail)
 
-    # states: boundary image tuple -> the parent state's key
-    states = {(): None}
+    # states: boundary image tuples to expand, in insertion order
+    states = trail[-1] if trail else {(): None}
     for (pt, lo_pos, lo_gap, hi_pos, hi_gap, get_rest, pending_pos, need_deg,
-         pick, reduce, cut_inline, injective, shared) in P.plan:
+         pick, reduce, cut_inline, injective, shared) in P.plan[len(trail):]:
         hi_end = sizes[pt] - hi_gap
         if pick:
             new_states = _extreme_image_layer(
@@ -464,6 +492,8 @@ def _layers(P: PatternIndex, H: HostIndex) -> list[dict]:
             new_states = _pareto_reduce(new_states, reduce)
         trail.append(new_states)
         states = new_states
+        if width and len(states) > width:
+            states = list(islice(states, width))
     return trail
 
 
@@ -594,13 +624,17 @@ def _pareto_reduce(states: dict, pure: tuple) -> dict:
     out = {}
     if len(pure) == 2:
         (k0, d0), (k1, d1) = pure
-        if d0 > 0 and d1 > 0:
-            signed = itemgetter(k0, k1)
-        else:
-            def signed(key):
-                return key[k0] * d0, key[k1] * d1
+        by_both, by_k0, by_k1 = itemgetter(k0, k1), itemgetter(k0), itemgetter(k1)
         for keys in groups.values():
-            keys.sort(key=signed)
+            if len(keys) > 1:
+                # Keys of a class differ in their pure coordinates, so
+                # the signed order is total; the sort with ``reverse`` is
+                # stable, so two sorts give the mixed-direction order.
+                if d0 == d1:
+                    keys.sort(key=by_both, reverse=d0 < 0)
+                else:
+                    keys.sort(key=by_k1, reverse=d1 < 0)
+                    keys.sort(key=by_k0, reverse=d0 < 0)
             least = None
             for key in keys:
                 second = key[k1] * d1
@@ -611,7 +645,7 @@ def _pareto_reduce(states: dict, pure: tuple) -> dict:
     for keys in groups.values():
         kept = []
         for vec, key in sorted((tuple(key[k] * d for k, d in pure), key) for key in keys):
-            if not any(all(a <= b for a, b in zip(w, vec)) for w in kept):
+            if not any(all(map(le, w, vec)) for w in kept):
                 kept.append(vec)
                 out[key] = states[key]
     return out

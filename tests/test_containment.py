@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from ordex.catalog import complete_ordered, keszegh_h, sailboat
 from ordex.constructions import power_distance_graph
-from ordex.containment import (EdgelessPatternError, FlavorMismatchError,
+from ordex.containment import (PROBE_WIDTH, EdgelessPatternError, FlavorMismatchError,
                                HostIndex, PatternIndex, _cut_walk_layer,
                                _extreme_image_layer, _layers, _pareto_reduce,
                                contains, embedding_is_valid, find_embedding)
@@ -211,6 +212,116 @@ def test_oracle_agreement_bipartite_any_order(host, pattern, seed):
 @settings(max_examples=100, deadline=None)
 def test_oracle_agreement_cyclic_any_order(host, pattern, seed):
     _agrees_with_oracle_in_any_order(host, pattern, seed)
+
+
+def _agrees_with_oracle_at_every_width(host, pattern):
+    """The bounded first pass, at widths 1 and 2 and at one wider than
+    any layer (where it is the exhaustive search), and the exhaustive
+    pass it resumes give the oracle's answer and valid embeddings."""
+    if not pattern.edges:
+        return
+    H = HostIndex(host)
+    wide = 1 + max((len(layer) for _, rotated in rotations(pattern)
+                    for layer in _layers(PatternIndex(rotated), H)), default=0)
+    for width in (1, 2, wide):
+        with patch("ordex.containment.PROBE_WIDTH", width):
+            _agrees_with_oracle(host, pattern)
+
+
+@given(*ORDERED_PAIRS)
+# The width-1 pass holds two states in its first layer, finds nothing
+# and the resumed search finds the copy.
+@example(ordered_graph(5, [(1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]),
+         ordered_graph(4, [(1, 2), (1, 3), (3, 4)]))
+@settings(max_examples=150, deadline=None)
+def test_bounded_pass_agrees_with_oracle_ordered(host, pattern):
+    _agrees_with_oracle_at_every_width(host, pattern)
+
+
+@given(*BIPARTITE_PAIRS)
+# The same for two parts.
+@example(bipartite_graph(5, 2, [(1, 2), (2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (5, 1)]),
+         bipartite_graph(1, 2, [(1, 1)]))
+@settings(max_examples=150, deadline=None)
+def test_bounded_pass_agrees_with_oracle_bipartite(host, pattern):
+    _agrees_with_oracle_at_every_width(host, pattern)
+
+
+@given(*CYCLIC_PAIRS)
+@settings(max_examples=100, deadline=None)
+def test_bounded_pass_agrees_with_oracle_cyclic(host, pattern):
+    _agrees_with_oracle_at_every_width(host, pattern)
+
+
+def _bounded_prefix_is_exhaustive(host, pattern, width):
+    """The bounded pass's layers up to and including the first one that
+    holds more than ``width`` states, the one the exhaustive pass
+    resumes from, are the exhaustive layers, in order, with the same
+    parents; with no such layer the two passes are the same."""
+    H = HostIndex(host)
+    for _, rotated in rotations(pattern):
+        P = PatternIndex(rotated)
+        bounded = [list(layer.items()) for layer in _layers(P, H, width)]
+        exhaustive = [list(layer.items()) for layer in _layers(P, H)]
+        cut = next((t for t, layer in enumerate(bounded) if len(layer) > width), None)
+        if cut is None:
+            assert bounded == exhaustive
+        else:
+            assert bounded[:cut + 1] == exhaustive[:cut + 1]
+
+
+def test_bounded_prefix_is_exhaustive_on_constructions():
+    for host, pattern in ((power_distance_graph(64, 2, "ordered"), HOOK_PATTERN),
+                          (power_distance_graph(30, 3, "bipartite"), keszegh_h(1)),
+                          (power_distance_graph(30, 3, "bipartite"), keszegh_h(2))):
+        for width in (1, PROBE_WIDTH, 30, 100):
+            _bounded_prefix_is_exhaustive(host, pattern, width)
+
+
+@given(*ORDERED_PAIRS, st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_bounded_prefix_is_exhaustive_ordered(host, pattern, width):
+    if pattern.edges:
+        _bounded_prefix_is_exhaustive(host, pattern, width)
+
+
+@pytest.mark.parametrize("width", [PROBE_WIDTH, 100])
+def test_avoiding_host_resumes_rather_than_restarts(width):
+    """The doubling host avoids the hook.  Every step's projection is
+    spied on, so each parent a step expands is counted.  The bounded
+    pass truncates layer 0 (61 states) at width 4 and layer 1 (253) at
+    width 100; ``find_embedding`` then resumes after that layer, so it
+    expands what the bounded pass expands plus what the exhaustive
+    search expands after the cut, and no step up to the cut twice."""
+    P = PatternIndex(HOOK_PATTERN)
+    H = HostIndex(power_distance_graph(64, 2, "ordered"))
+    expanded = Counter()
+
+    def counted(t, get_rest):
+        def spy(key):
+            expanded[t] += 1
+            return get_rest(key)
+        return spy
+
+    P.plan = [step._replace(get_rest=counted(t, step.get_rest))
+              for t, step in enumerate(P.plan)]
+
+    def expansions(run):
+        expanded.clear()
+        out = run()
+        return out, Counter(expanded)
+
+    bounded, in_bounded = expansions(lambda: _layers(P, H, width))
+    exhaustive, in_exhaustive = expansions(lambda: _layers(P, H))
+    cut = next(t for t, layer in enumerate(bounded) if len(layer) > width)
+    assert cut == (0 if width == PROBE_WIDTH else 1)
+    assert len(bounded) < len(P.plan) and len(exhaustive) < len(P.plan)
+    with patch("ordex.containment.PROBE_WIDTH", width):
+        emb, in_find = expansions(lambda: find_embedding(P, H))
+    assert emb is None
+    after_cut = Counter({t: c for t, c in in_exhaustive.items() if t > cut})
+    assert in_find == in_bounded + after_cut
+    assert all(in_find[t] == in_exhaustive[t] for t in range(cut + 1))
 
 
 def test_plan_flags_are_pinned():
@@ -517,7 +628,8 @@ WITNESS_PATTERNS = {
     "C4": (cyclic_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 30),
 }
 
-# Recorded once; a change here means the search order changed.
+# Recorded once; a change here means the search order or the bounded
+# first pass changed.
 WITNESSES = {
     'hook#1': {'u_map': [1, 2, 24, 28]},
     'hook#2': {'u_map': [1, 4, 26, 30]},
@@ -525,14 +637,14 @@ WITNESSES = {
     'H:1#1': {'u_map': [2, 3, 5, 6, 8, 9, 22], 'v_map': [1, 3, 6, 8, 9, 12, 23]},
     'H:1#2': {'u_map': [2, 6, 7, 8, 10, 14, 24], 'v_map': [1, 5, 13, 18, 19, 20, 21]},
     'H:1#3': {'u_map': [2, 3, 4, 5, 7, 10, 24], 'v_map': [4, 6, 8, 11, 19, 20, 24]},
-    'sailboat#1': {'u_map': [5, 6, 9], 'v_map': [1, 3, 9, 23]},
+    'sailboat#1': {'u_map': [1, 2, 21], 'v_map': [3, 4, 10, 12]},
     'sailboat#2': {'u_map': [2, 8, 19], 'v_map': [1, 2, 5, 10]},
     'sailboat#3': {'u_map': [3, 4, 10], 'v_map': [3, 7, 20, 21]},
     'crossing#1': {'u_map': [1, 2, 3, 6]},
-    'crossing#2': {'u_map': [4, 6, 7, 9]},
-    'crossing#3': {'u_map': [2, 6, 7, 9]},
+    'crossing#2': {'u_map': [1, 5, 14, 16]},
+    'crossing#3': {'u_map': [1, 3, 8, 13]},
     'C4#1': {'u_map': [1, 6, 8, 17]},
-    'C4#2': {'u_map': [5, 12, 17, 22]},
+    'C4#2': {'u_map': [1, 16, 29, 30]},
     'C4#3': {'u_map': [13, 14, 18, 29]},
 }
 
@@ -555,8 +667,8 @@ def test_contains_digest_is_pinned():
     with a pure coordinate is cut, whatever its size, and the corpus's
     patterns cut layers by least and by greatest images, while walking
     and by the Pareto pass, with one, two and more pure coordinates in
-    both directions, so a change to the cut rule or to the placement
-    order search moves this digest."""
+    both directions, so a change to the cut rule, to the placement
+    order search or to the bounded first pass moves this digest."""
     import os
     import subprocess
     import sys
@@ -569,4 +681,4 @@ def test_contains_digest_is_pinned():
     out = subprocess.run([sys.executable, str(root / "scripts" / "contains_digest.py")],
                          capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split()[-1] == (
-        "34d066c82e1e7f85e72e5ee43701e901960d25c83f0b49a957ea20a9e50f4317")
+        "3d843b65987eb8f7c058c1243004b9bd0999741fa9707e5353587294460f6289")
