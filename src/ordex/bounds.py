@@ -358,6 +358,11 @@ _RULES = {
 # Upper bound search
 # ---------------------------------------------------------------------------
 
+def _key_head(terms: frozenset, n_steps: int):
+    """The bound key and step count that lead ``_Candidate.order_key``."""
+    return tuple(sorted((t.key() for t in terms), reverse=True)), n_steps
+
+
 @dataclass(frozen=True)
 class _Candidate:
     terms: frozenset
@@ -365,34 +370,32 @@ class _Candidate:
     terminal: str
 
     def order_key(self):
-        bound_key = tuple(sorted((t.key() for t in self.terms), reverse=True))
-        return (bound_key, len(self.steps),
-                tuple((s.rule, s.source, s.result, s.params) for s in self.steps))
-
-
-def _best(a: _Candidate | None, b: _Candidate) -> _Candidate:
-    """The better candidate; of two with equal keys, the first."""
-    return b if a is None else min(a, b, key=_Candidate.order_key)
+        return _key_head(self.terms, len(self.steps)) + (
+            tuple((s.rule, s.source, s.result, s.params) for s in self.steps),)
 
 
 @lru_cache(maxsize=4096)
 def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
     """Best candidate for a canonical pattern within the depth cap.
 
-    Every rule is tried on every symmetry variant, the reductions only
-    while depth remains.  A pure function of its arguments: every child
-    is searched by its own canonical form at depth - 1, and ties between
-    candidates are broken by a fixed iteration order, so a cached result
-    is the one a fresh search would return.
+    Every rule is tried on each distinct image of ``variants(canon)`` in
+    order (a repeat would only tie with its first occurrence), reductions
+    only while depth remains.  Of equal ``order_key``s the first found is
+    kept; a firing whose key head (bound, step count) already loses is
+    dropped before its steps are built.  A pure function of its
+    arguments: each child is searched by its canonical form at depth - 1.
     """
     text = serialize_graph(canon)
-    best = None
+    best, best_key, seen = None, None, set()
     for ops, variant in variants(canon):
+        if variant in seen:
+            continue
+        seen.add(variant)
         for name, rule in _RULES.items():
             if depth <= 0 and not rule.terminal:
                 continue
             for children, params in rule.enumerator(variant):
-                steps, terms, terminals = (), frozenset(), []
+                subs = []
                 for child, side in zip(children, rule.sides):
                     if rule.terminal:
                         sub = _Candidate(frozenset(), (), rule.terminal)
@@ -401,15 +404,23 @@ def _search_upper(canon: PatternGraph, depth: int) -> _Candidate | None:
                         sub = _search_upper(child, depth - 1)
                         if sub is None:
                             break
-                    steps += (DerivationStep(
-                        name, text, serialize_graph(child), variant=ops,
-                        params=params + side, transform=rule.transform,
-                        caveats=rule.caveats),) + sub.steps
-                    terms |= sub.terms
-                    terminals.append(sub.terminal)
+                    subs.append((child, side, sub))
                 else:
-                    best = _best(best, _Candidate(rule.terms(terms), steps,
-                                                  _join_terminals(*terminals)))
+                    terms = rule.terms(frozenset().union(*(s.terms for *_, s in subs)))
+                    head = _key_head(terms, sum(1 + len(s.steps) for *_, s in subs))
+                    if best is not None and head > best_key[:2]:
+                        continue
+                    steps = ()
+                    for child, side, sub in subs:
+                        steps += (DerivationStep(
+                            name, text, serialize_graph(child), variant=ops,
+                            params=params + side, transform=rule.transform,
+                            caveats=rule.caveats),) + sub.steps
+                    found = _Candidate(terms, steps, _join_terminals(
+                        *(s.terminal for *_, s in subs)))
+                    key = found.order_key()
+                    if best is None or key < best_key:
+                        best, best_key = found, key
     return best
 
 
@@ -427,9 +438,11 @@ def derive_upper_bound(pattern: PatternGraph, depth: int = 12) -> BoundResult:
     that flag distinguishes an engine limit from a derived fact.  Depth
     0 tries the base cases only; a negative depth is refused.
 
+    The least candidate wins: by bound, then step count, then trace, of
+    ties the first found over the distinct images in ``variants`` order.
     Searches are memoized across calls by (canonical pattern, depth), so
-    a repeated or overlapping query reuses earlier subresults; the
-    answer is the same as from a cold search.
+    a repeated or overlapping query reuses earlier subresults; the answer
+    is the same as from a cold search.
     """
     if depth < 0:
         raise GraphValueError("derivation depth must be non-negative")

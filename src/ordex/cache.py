@@ -11,12 +11,12 @@ and is overwritten by the fresh solve.  Records are written to a
 temporary file and moved into place, so concurrent writers never tear a
 file.
 
-A lookup probes the symmetry images of the pattern (``graphs.variants``;
-a single-part pattern has only itself) in one loop.  The identity image
-is the exact key, and its stored payload is returned byte for byte.  A
-record stored for another image transfers: the host sizes swap with the
-parts, the witness is pulled back through the inverse symmetry,
-revalidated and stored under the exact key.
+A lookup probes each distinct key among the symmetry images of the
+pattern (``graphs.variants``; a single-part pattern has only itself)
+once.  The identity image is the exact key, and its stored payload is
+returned byte for byte.  A record stored for another image transfers:
+the host sizes swap with the parts, the witness is pulled back through
+the inverse symmetry, revalidated and stored under the exact key.
 """
 
 from __future__ import annotations
@@ -102,16 +102,18 @@ class RecordCache:
               caps: SolverCaps = DEFAULT_CAPS) -> ExtremalRecord:
         """Cached record, or solve and persist one.
 
-        Probes the images of the pattern in ``graphs.variants`` order.  An
-        exact-key hit returns the stored record, whose bytes are the
-        file's; a hit on another image reuses its value, with the witness
-        pulled back through ``ops[::-1]`` and revalidated before it is
-        stored under the exact key.  A miss on every image solves.
+        Probes each distinct (image, n, m) key once, in ``graphs.variants``
+        order.  An exact-key hit returns the stored record, whose bytes are
+        the file's; a hit on another image reuses its value, with the
+        witness pulled back through ``ops[::-1]`` and revalidated before it
+        is stored under the exact key.  A miss on every key solves.
         """
         mm = m if m is not None else 0
         images = variants(pattern) if flavor == BIPARTITE else (((), pattern),)
+        probes = {}  # key -> first ops; a repeat pulls back validly iff the first does
         for ops, image in images:
-            vn, vm = (mm, n) if "swap" in ops else (n, mm)
+            probes.setdefault((image,) + ((mm, n) if "swap" in ops else (n, mm)), ops)
+        for (image, vn, vm), ops in probes.items():
             raw = self.load_bytes(flavor, image, vn, vm)
             if raw is None:
                 continue

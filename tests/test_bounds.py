@@ -359,6 +359,144 @@ def test_one_rule_entry_is_a_new_base_case():
     assert derive_upper_bound(ZIGZAG).no_derivation
 
 
+# ---------------------------------------------------------------------------
+# the search against a reference
+# ---------------------------------------------------------------------------
+
+def _reference_upper(pattern, depth, memo):
+    """The search before it skipped repeated images and priced firings:
+    every rule on all eight images, every firing's steps built, and the
+    least candidate by ``order_key`` kept, the first of equal keys.  Its
+    memo is the caller's ``memo`` dict, not the library's."""
+    from ordex.bounds import (QUADRATIC, UPPER, BoundResult, Derivation,
+                              DerivationStep, _Candidate, _join_terminals,
+                              _RULES)
+    from ordex.formats import serialize_graph
+    from ordex.graphs import canonical_variant, variants
+
+    def search(canon, depth):
+        if (canon, depth) in memo:
+            return memo[canon, depth]
+        text = serialize_graph(canon)
+        best = None
+        for ops, variant in variants(canon):
+            for name, rule in _RULES.items():
+                if depth <= 0 and not rule.terminal:
+                    continue
+                for children, params in rule.enumerator(variant):
+                    steps, terms, terminals = (), frozenset(), []
+                    for child, side in zip(children, rule.sides):
+                        if rule.terminal:
+                            sub = _Candidate(frozenset(), (), rule.terminal)
+                        else:
+                            child = canonical_variant(child)
+                            sub = search(child, depth - 1)
+                            if sub is None:
+                                break
+                        steps += (DerivationStep(
+                            name, text, serialize_graph(child), variant=ops,
+                            params=params + side, transform=rule.transform,
+                            caveats=rule.caveats),) + sub.steps
+                        terms |= sub.terms
+                        terminals.append(sub.terminal)
+                    else:
+                        found = _Candidate(rule.terms(terms), steps,
+                                           _join_terminals(*terminals))
+                        best = found if best is None else min(
+                            best, found, key=_Candidate.order_key)
+        memo[canon, depth] = best
+        return best
+
+    found = search(canonical_variant(pattern), depth)
+    if found is None:
+        return BoundResult(AsymptoticBound.of({QUADRATIC}, UPPER),
+                           Derivation((), "none"), no_derivation=True)
+    return BoundResult(AsymptoticBound.of(found.terms, UPPER),
+                       Derivation(found.steps, found.terminal))
+
+
+def _random_bipartite_patterns(seed, count):
+    """Seeded random bipartite patterns of at most 4 x 4 with 1-6 edges."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n_u, n_v = rng.randint(1, 4), rng.randint(1, 4)
+        cells = [(u, v) for u in range(1, n_u + 1) for v in range(1, n_v + 1)]
+        k = rng.randint(1, min(6, len(cells)))
+        out.append(bipartite_graph(n_u, n_v, rng.sample(cells, k)))
+    return out
+
+
+def test_search_matches_the_reference_search():
+    """Skipping repeated images and pricing a firing by its key head
+    before building its steps leave every bound and trace as the plain
+    search over all eight images gives them, and every trace replays."""
+    patterns = enumerate_tree_patterns(5) + _random_bipartite_patterns(11, 150)
+    memo = {}
+    for g in patterns:
+        for depth in (0, 1, 3, 12):
+            res = derive_upper_bound(g, depth)
+            assert res.as_dict() == _reference_upper(g, depth, memo).as_dict(), (
+                g, depth)
+            if not res.no_derivation:
+                assert replay_derivation(g, res.derivation)
+
+
+CROSS = bipartite_graph(3, 3, [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
+LOG_SQUARED_TREE = bipartite_graph(3, 3, [(1, 1), (1, 2), (2, 3), (3, 1), (3, 3)])
+
+
+@pytest.mark.parametrize("pattern", [CROSS, STAIRCASE, LOG_SQUARED_TREE],
+                         ids=["cross", "staircase", "log-squared-tree"])
+def test_cold_search_enumerates_each_rule_on_each_image_once(pattern):
+    """Within one (pattern, depth) search every rule runs once on each
+    distinct image, however many of the eight symmetries give it; and
+    each trace step names the first ``VARIANT_SEQUENCES`` entry giving
+    its image."""
+    import dataclasses
+    from collections import Counter
+    from unittest import mock
+
+    from ordex import bounds
+    from ordex.formats import parse_graph
+    from ordex.graphs import canonical_variant, variants
+
+    canon = canonical_variant(pattern)
+    assert len({image for _, image in variants(canon)}) < 8
+    calls, depths = Counter(), []
+
+    def spy(name, enumerate_):
+        def enumerator(g):
+            calls[name, g, depths[-1]] += 1
+            return enumerate_(g)
+        return enumerator
+
+    search = bounds._search_upper
+
+    def tracked(canon, depth):
+        depths.append(depth)
+        try:
+            return search(canon, depth)
+        finally:
+            depths.pop()
+
+    rules = {name: dataclasses.replace(rule, enumerator=spy(name, rule.enumerator))
+             for name, rule in bounds._RULES.items()}
+    _clear_ordex_caches()
+    try:
+        with mock.patch.dict(bounds._RULES, rules), \
+                mock.patch.object(bounds, "_search_upper", tracked):
+            res = derive_upper_bound(pattern)
+    finally:
+        _clear_ordex_caches()
+    assert calls and max(calls.values()) == 1
+    assert res.derivation.steps
+    for step in res.derivation.steps:
+        images = variants(parse_graph(step.source))
+        image = dict(images)[step.variant]
+        assert step.variant == next(ops for ops, g in images if g == image)
+
+
 def test_bound_digest_is_pinned():
     """The bound engine's output on the scripts/bound_digest.py corpus
     (values, traces, replay verdicts, canonical forms, classes) is

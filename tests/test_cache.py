@@ -183,3 +183,39 @@ def test_failed_store_keeps_old_record_and_leaves_no_temp_file(tmp_path,
     cache.store(rec)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("pattern, n, m", [
+    (bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)]), 3, 3),
+    (permutation_matching([1, 2]), 3, 3),
+    (permutation_matching([1, 2]), 2, 3),
+    (bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 2)]), 2, 3),
+], ids=["all-symmetric", "diagonal-square", "diagonal-non-square",
+        "corner-non-square-no-repeat"])
+def test_a_miss_reads_each_distinct_key_once(tmp_path, monkeypatch,
+                                             pattern, n, m):
+    """A miss on a symmetric pattern probes each distinct (image, n, m)
+    key once, one file read per key, however many symmetries give it
+    (on the non-square host the corner's eight keys are all distinct);
+    the lookup after the solve is an exact hit, one read."""
+    from collections import Counter
+
+    from ordex.graphs import variants
+
+    cache = RecordCache(tmp_path)
+    reads = Counter()
+    load = RecordCache.load_bytes
+
+    def spy(self, flavor, pat, vn, vm):
+        reads[self._path(flavor, pat, vn, vm)] += 1
+        return load(self, flavor, pat, vn, vm)
+
+    monkeypatch.setattr(RecordCache, "load_bytes", spy)
+    rec = cache.fetch("bipartite", pattern, n, m)
+    keys = {(image,) + ((m, n) if "swap" in ops else (n, m))
+            for ops, image in variants(pattern)}
+    assert len(reads) == len(keys)
+    assert set(reads.values()) == {1}
+    reads.clear()
+    assert cache.fetch("bipartite", pattern, n, m) == rec
+    assert sum(reads.values()) == 1
