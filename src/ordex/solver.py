@@ -492,9 +492,17 @@ def count_avoiding_permutations(n: int, pi,
     0..L.  With k = len(pi), q the position of k in pi and pi' the
     pattern pi with k removed, site p is killed exactly when sigma has an
     occurrence of pi' whose first q entries lie before p and whose other
-    entries lie at or after p; the other sites are active.  The walk
-    grows each avoider at its active sites and, one short of n, counts
-    them instead.  The pattern must be non-empty and n non-negative.
+    entries lie at or after p; the other sites are active.  The child at
+    active site p inherits the dead bitmask (dead & low) | (dead & ~low)
+    << 1, low the bits below p: an occurrence missing the new entry is
+    sigma's, and its killed interval misses p, so it keeps or moves up.
+    One through the new entry, the maximum, has it play k - 1.  So a node
+    lists once the value-consistent (k - 2)-subsets of its positions,
+    each with the span of sites where the new entry completes it and the
+    interval it kills there, and each active site ORs in those whose span
+    holds it: O(L^(k-2)) value checks per node, not O(L^(k-1)) per child.
+    One short of n the walk adds each child's L + 2 - popcount(dead)
+    without building it.  The pattern must be non-empty and n non-negative.
     """
     pi = as_permutation(pi)
     k = len(pi)
@@ -503,34 +511,46 @@ def count_avoiding_permutations(n: int, pi,
     if n > caps.permutations:
         raise SizeCapError(
             f"size cap exceeded: {n} over permutation cap {caps.permutations}")
-    if k > n:
-        # Too short to ever contain the pattern.
-        return math.factorial(n)
+    if k > n or k == 1:
+        # Too short to ever contain the pattern, or contained in all.
+        return math.factorial(n) if k > n else 0
     q = pi.index(k)
     rest = pi[:q] + pi[q + 1:]
-    # The positions of pi' in value order: k - 1 entries of sigma form an
-    # occurrence of pi' when their values, read in this order, increase.
-    by_value = sorted(range(k - 1), key=lambda t: rest[t])
+    r = rest.index(k - 1)
+    # The positions of pi' without k - 1, in increasing order of value.
+    by_value = sorted(range(k - 2), key=lambda t: rest[t + (t >= r)])
 
-    def walk(sigma):
+    def entry(j):
+        """Entry j of pi' in the child at site p is ext[i] + c + m * p, for
+        (i, c, m) = entry(j) and ext the subset padded by -1 and L."""
+        return (0, 1, 1) if j == r else (j + 1, 0, 0) if j < r else (j, 1, 0)
+    (i0, c0, m0), (i1, c1, m1) = entry(q - 1), entry(q)
+
+    def walk(sigma, dead):
         L = len(sigma)
-        active = [True] * (L + 1)
-        for combo in itertools.combinations(range(L), k - 1):
+        spans = []
+        for combo in itertools.combinations(range(L), k - 2):
             prev = 0
             for t in by_value:
                 if sigma[combo[t]] < prev:
                     break
                 prev = sigma[combo[t]]
             else:
-                lo = combo[q - 1] + 1 if q else 0
-                hi = combo[q] if q < k - 1 else L
-                active[lo:hi + 1] = [False] * (hi + 1 - lo)
-        sites = [p for p in range(L + 1) if active[p]]
-        if L == n - 1:
-            return len(sites)
-        return sum(walk(sigma[:p] + (L + 1,) + sigma[p:]) for p in sites)
+                ext = (-1,) + combo + (L,)
+                spans.append((ext[r] + 1, ext[r + 1], ext[i0] + c0 + 1, ext[i1] + c1))
+        total = 0
+        for p in range(L + 1):
+            if dead >> p & 1:
+                continue
+            child = dead & ((1 << p) - 1) | (dead >> p) << (p + 1)
+            for a, b, lo, hi in spans:
+                if a <= p <= b:
+                    child |= (2 << hi + m1 * p) - (1 << lo + m0 * p)
+            total += (L + 2 - child.bit_count() if L == n - 2
+                      else walk(sigma[:p] + (L + 1,) + sigma[p:], child))
+        return total
 
-    return walk(())
+    return walk((), 0)
 
 
 @dataclass(frozen=True)

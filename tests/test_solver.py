@@ -1,6 +1,7 @@
 """Exact solver against brute force, plus the counting routines."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -205,23 +206,67 @@ def test_permutation_counts():
 
 
 # The Wilf classes of the length-4 patterns and their avoider counts at
-# n = 7 (OEIS A005802, A022558 and A061552).
+# n = 7 and n = 9 (OEIS A005802, A022558 and A061552).
 WILF_CLASSES_4 = {
-    2761: ("1234", "1243", "1432", "2134", "2143", "2341", "3214", "3412",
-           "3421", "4123", "4312", "4321"),
-    2740: ("1342", "1423", "2314", "2413", "2431", "3124", "3142", "3241",
-           "4132", "4213"),
-    2762: ("1324", "4231"),
+    (2761, 94359): ("1234", "1243", "1432", "2134", "2143", "2341", "3214",
+                    "3412", "3421", "4123", "4312", "4321"),
+    (2740, 91245): ("1342", "1423", "2314", "2413", "2431", "3124", "3142",
+                    "3241", "4132", "4213"),
+    (2762, 94776): ("1324", "4231"),
 }
 
 
 def test_length_four_wilf_classes_at_seven():
+    """At n = 7 and at n = 9."""
     patterns = [p for members in WILF_CLASSES_4.values() for p in members]
     assert sorted(patterns) == sorted(
         "".join(map(str, p)) for p in itertools.permutations([1, 2, 3, 4]))
-    for value, members in WILF_CLASSES_4.items():
+    for values, members in WILF_CLASSES_4.items():
         for p in members:
-            assert count_avoiding_permutations(7, [int(c) for c in p]) == value, p
+            for n, value in zip((7, 9), values):
+                count = count_avoiding_permutations(n, [int(c) for c in p])
+                assert count == value, (p, n)
+
+
+def _reference_perm_count(n, pi):
+    """The generating-tree walk that rescans every node: each site of
+    sigma is checked against all (k - 1)-subsets of its positions."""
+    k = len(pi)
+    if k > n:
+        return math.factorial(n)
+    q = pi.index(k)
+    rest = pi[:q] + pi[q + 1:]
+    by_value = sorted(range(k - 1), key=lambda t: rest[t])
+
+    def walk(sigma):
+        L = len(sigma)
+        active = [True] * (L + 1)
+        for combo in itertools.combinations(range(L), k - 1):
+            values = [sigma[combo[t]] for t in by_value]
+            if values == sorted(values):
+                lo = combo[q - 1] + 1 if q else 0
+                hi = combo[q] if q < k - 1 else L
+                active[lo:hi + 1] = [False] * (hi + 1 - lo)
+        sites = [p for p in range(L + 1) if active[p]]
+        if L == n - 1:
+            return len(sites)
+        return sum(walk(sigma[:p] + (L + 1,) + sigma[p:]) for p in sites)
+
+    return walk(())
+
+
+@pytest.mark.parametrize("k, top", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 7)])
+def test_permutation_counts_match_the_rescanning_walk(k, top):
+    """Every pattern of length k at every n up to top, n = 0 and 1 and
+    k > n among them, against the walk without inherited dead sites."""
+    for pi in itertools.permutations(range(1, k + 1)):
+        for n in range(top + 1):
+            count = count_avoiding_permutations(n, pi)
+            assert count == _reference_perm_count(n, pi), (pi, n)
+            if k > n:
+                assert count == math.factorial(n)
+            elif k == 1:
+                assert count == 0
 
 
 @given(permutations_up_to(5), st.integers(0, 6))
