@@ -30,7 +30,6 @@ of log), then by the log exponent.  Logarithms are binary throughout.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,30 +261,41 @@ def _strip_leaf_pair(g: PatternGraph):
 # Base cases
 # ---------------------------------------------------------------------------
 
-_MAX_COVER_ROWS = 7
-
-
 @lru_cache(maxsize=4096)
 def _matching_cover(g: PatternGraph):
-    """The smallest generalized matching containing g, as the one firing
-    ``((matching,), (m, *pi))``, or () when there is none.
+    """The least generalized matching containing g, as the one firing
+    ``((matching,), (m, *pi))``, or () when there is none.  Such a
+    matching is linear: Marcus & Tardos 2004 for m = 1, Geneson 2009
+    and its generalized matchings in the source thesis for larger m.
 
-    Column degrees above one rule a cover out immediately.  Otherwise
-    matchings on exactly the row count of g are generated for every
-    block size up to the maximum row degree and every permutation, in
-    ascending (block size, permutation) order, and tested by
-    containment.
+    A cover has exactly g's k rows, so each row maps to itself and row
+    j's columns land in block pi(j): a column of degree above one or an
+    empty row rules a cover out.  The column map keeps order, so the
+    blocks of the non-isolated columns never fall from left to right:
+    pi is the order in which the rows' runs appear, hence unique, and a
+    run split by another row's column fails the placement below.
+    Isolated columns may sit anywhere.  For m up to the largest row
+    degree (wider isolated-column padding goes through
+    ``strip_isolated``) the columns are placed left to right, each at
+    the first position its block allows; the first m where all fit
+    gives the least cover.
     """
     du, dv = g.degrees()
-    if (not g.edges or any(d > 1 for d in dv) or g.n_u > _MAX_COVER_ROWS
-            or 0 in du):
+    if not g.edges or any(d > 1 for d in dv) or 0 in du:
         return ()
-    k = g.n_u
-    for m in range(max(1, -(-g.n_v // k)), max(du) + 1):
-        for pi in itertools.permutations(range(1, k + 1)):
-            matching = generalized_matching(m, pi, BIPARTITE)
-            if contains(matching, g) is not None:
-                return (((matching,), (m,) + pi),)
+    owner = {v: u for u, v in g.edges}
+    order = list(dict.fromkeys(owner[v] for v in sorted(owner)))
+    pi = tuple(order.index(j) + 1 for j in range(1, g.n_u + 1))
+    blocks = [(pi[owner[v] - 1],) * 2 if v in owner else (1, g.n_u)
+              for v in range(1, g.n_v + 1)]
+    for m in range(1, max(du) + 1):
+        pos = 0
+        for lo, hi in blocks:
+            pos = max(pos + 1, (lo - 1) * m + 1)
+            if pos > hi * m:
+                break
+        else:
+            return (((generalized_matching(m, pi, BIPARTITE),), (m,) + pi),)
     return ()
 
 

@@ -318,6 +318,35 @@ def test_criterion_10_bound_engine_regression():
         + "; ".join(f"{g.n_u}x{g.n_v} {g.edges}" for g, _ in failures))
 
 
+# Outcome counts of ``scripts/tree_census.py 6``, frozen when first
+# measured: a new rule with a published proof lowers the underivable
+# count on purpose and re-pins it.
+SIX_EDGE_CENSUS = {"n log^0": 40, "n log^1": 60, "n log^2": 42,
+                   "n log^3": 7, "no derivation": 18}
+
+
+def test_six_edge_tree_census_is_pinned():
+    """Regression fact beside criterion 10, not a criterion: the census
+    of the 167 tree patterns with at most six edges, every derived trace
+    replaying, reads the pinned outcome counts."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "tree_census.py"),
+                          "6"], capture_output=True, text=True, check=True, env=env)
+    head, table, *_ = out.stdout.split("\n\n")
+    assert head.startswith("167 tree patterns with <= 6 edges")
+    counts = {label: int(n) for label, n in
+              (line.strip().rsplit(None, 1) for line in table.splitlines())}
+    assert counts == SIX_EDGE_CENSUS
+
+
 def test_criterion_11_lower_bound_engine():
     """Cycle rule, family rule, and lower-never-exceeds-upper."""
     four_cycle = bipartite_graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])

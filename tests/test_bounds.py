@@ -263,27 +263,37 @@ def test_replay_refuses_forged_steps(rule, side, replays):
     assert replay_derivation(STAIRCASE, derivation) is replays
 
 
-@pytest.mark.parametrize("change, replays", [
-    ({}, True),
-    ({"variant": ("bogus",)}, False),
-    ({"variant": ("swap", "swap", "ru")}, False),
-    ({"params": ()}, False),
-    ({"params": (0, 1)}, False),
-    ({"params": (2, 1, 2)}, False),
-    ({"result": "bipartite 1 1\n1 1\n"}, False),
+EIGHT_ROWS = permutation_matching([2, 1, 4, 3, 6, 5, 8, 7])
+
+
+@pytest.mark.parametrize("change, replays, pattern", [
+    ({}, True, None),
+    ({"variant": ("bogus",)}, False, None),
+    ({"variant": ("swap", "swap", "ru")}, False, None),
+    ({"params": ()}, False, None),
+    ({"params": (0, 1)}, False, None),
+    ({"params": (2, 1, 2)}, False, None),
+    ({"result": "bipartite 1 1\n1 1\n"}, False, None),
+    ({}, True, EIGHT_ROWS),
+    ("next-block-size", False, EIGHT_ROWS),
 ], ids=["honest", "unknown-op", "non-table-ops", "no-params", "bad-params",
-        "not-least-cover", "wrong-result"])
-def test_replay_refuses_forged_cover_steps(change, replays):
+        "not-least-cover", "wrong-result", "eight-rows-honest",
+        "eight-rows-not-least-cover"])
+def test_replay_refuses_forged_cover_steps(change, replays, pattern):
     """A cover step replays only as the search records it: its variant
     is one of the source's eight images and its params and result are
     the least cover of that image.  Anything else is refused, not
-    raised on."""
+    raised on; on an 8-row source too, where (m + 1, *pi) with the
+    true pi is refused because it is not the least cover."""
     import dataclasses
 
     from ordex.bounds import Derivation
 
-    pattern = permutation_matching([2, 1])
+    pattern = pattern or permutation_matching([2, 1])
     (step,) = derive_upper_bound(pattern, depth=0).derivation.steps
+    if change == "next-block-size":
+        m, *pi = step.params
+        change = {"params": (m + 1, *pi)}
     forged = dataclasses.replace(step, **change)
     derivation = Derivation((forged,), "generalized-matching")
     assert replay_derivation(pattern, derivation) is replays
@@ -440,6 +450,105 @@ def test_search_matches_the_reference_search():
                 g, depth)
             if not res.no_derivation:
                 assert replay_derivation(g, res.derivation)
+
+
+def _reference_cover(g):
+    """The matching cover before the direct test: every block size up to
+    the largest row degree times every row permutation, in ascending
+    order, each matching tested by containment.  Exponential in the row
+    count, so kept here as the oracle only."""
+    import itertools
+
+    from ordex.containment import contains
+
+    du, dv = g.degrees()
+    if not g.edges or any(d > 1 for d in dv) or 0 in du:
+        return ()
+    k = g.n_u
+    for m in range(max(1, -(-g.n_v // k)), max(du) + 1):
+        for pi in itertools.permutations(range(1, k + 1)):
+            matching = generalized_matching(m, pi, "bipartite")
+            if contains(matching, g) is not None:
+                return (((matching,), (m,) + pi),)
+    return ()
+
+
+def _small_cover_candidates():
+    """Every bipartite pattern up to 3 x 4 with an edge and no column of
+    degree above one: 478 patterns."""
+    import itertools
+
+    out = []
+    for k in range(1, 4):
+        for n_v in range(1, 5):
+            for owners in itertools.product(range(k + 1), repeat=n_v):
+                edges = [(u, v) for v, u in enumerate(owners, 1) if u]
+                if edges:
+                    out.append(bipartite_graph(k, n_v, edges))
+    return out
+
+
+def _seeded_cover_candidates(seed, count):
+    """Seeded patterns of 4-6 rows: a generalized matching's cells
+    thinned, isolated columns inserted and, in about half, two
+    neighbouring cells swapped so that two rows' runs may interleave."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k, m = rng.randint(4, 6), rng.randint(1, 3)
+        pi = rng.sample(range(1, k + 1), k)
+        owners = [u for u in sorted(range(1, k + 1), key=lambda j: pi[j - 1])
+                  for _ in range(m) if rng.random() < 0.8]
+        for _ in range(rng.randint(0, 3)):
+            owners.insert(rng.randint(0, len(owners)), 0)
+        if len(owners) > 1 and rng.random() < 0.5:
+            i = rng.randrange(len(owners) - 1)
+            owners[i], owners[i + 1] = owners[i + 1], owners[i]
+        edges = [(u, v) for v, u in enumerate(owners, 1) if u]
+        if edges:
+            out.append(bipartite_graph(k, len(owners), edges))
+    return out
+
+
+def test_matching_cover_matches_the_reference_cover():
+    """The direct test gives the old enumerator's firing, block size and
+    permutation included, on every small candidate and on seeded 4-6
+    row patterns with isolated columns and interleaved runs."""
+    from ordex.bounds import _matching_cover
+
+    small = _small_cover_candidates()
+    assert len(small) == 478
+    seeded = _seeded_cover_candidates(27, 150)
+    for g in small + seeded:
+        assert _matching_cover(g) == _reference_cover(g), g
+    # The seeded set reaches both verdicts on patterns with no empty row.
+    assert any(_matching_cover(g) for g in seeded)
+    assert any(not _matching_cover(g) and 0 not in g.degrees()[0]
+               for g in seeded)
+
+
+@pytest.mark.parametrize("m, pi", [
+    (1, (2, 1, 4, 3, 6, 5, 8, 7)), (1, (3, 1, 4, 2, 7, 5, 8, 6)),
+    (1, (2, 4, 1, 3, 6, 8, 5, 7)), (1, (2, 4, 1, 3, 6, 8, 5, 7, 10, 9)),
+    (2, (2, 1, 4, 3, 6, 5, 8, 7)),
+], ids=["21436587", "31427586", "24136857", "ten-rows", "m2-21436587"])
+def test_large_matchings_derive_linear(m, pi):
+    """A generalized matching of any row count, permutation matrices
+    (Marcus-Tardos) among them, is one cover step with its own block
+    size, and the trace replays."""
+    from ordex.formats import serialize_graph
+
+    g = generalized_matching(m, pi, "bipartite")
+    res = derive_upper_bound(g)
+    assert res.bound.terms == (BoundTerm(Fraction(1)),)
+    (step,) = res.derivation.steps
+    assert (step.rule, res.derivation.terminal) == (
+        "cover_by_matching", "generalized-matching")
+    found_m, *image = step.params
+    assert found_m == m and sorted(image) == list(range(1, len(pi) + 1))
+    assert step.result == serialize_graph(
+        generalized_matching(m, image, "bipartite"))
+    assert replay_derivation(g, res.derivation)
 
 
 CROSS = bipartite_graph(3, 3, [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
