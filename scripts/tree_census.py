@@ -49,7 +49,7 @@ def main():
     for label in sorted(outcomes):
         print(f"  {label:15s} {outcomes[label]:3d}")
     if underivable:
-        print("\nno rule applies to these patterns in any variant:")
+        print("\nno derivation within the depth cap:")
         for g in underivable:
             print(f"  {g.n_u}x{g.n_v}  {matrix_rows(g)}  edges={g.edges}")
 

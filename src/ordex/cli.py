@@ -26,6 +26,8 @@ from .graphs import (BIPARTITE, CYCLIC, ORDERED, GraphValueError,
 from .solver import (SizeCapError, count_avoiders, count_avoiding_permutations,
                      growth_table, max_edges_avoiding)
 
+MAX_BUILD_EDGES = 1 << 20  # edges a gen or construct may build (ckfree: pairs drawn)
+
 
 class DomainError(Exception):
     """Wraps a refusal so dispatch can emit a structured diagnostic."""
@@ -62,6 +64,11 @@ def _parse_perm_word(word: str):
     if "," in word:
         return [int(x) for x in word.split(",")]
     return [int(ch) for ch in word]
+
+
+def _cap(family, edges):
+    if edges > MAX_BUILD_EDGES:
+        raise DomainError("cap", f"{family} needs {edges} edges, over {MAX_BUILD_EDGES}")
 
 
 def _emit(out, payload, mode="json"):
@@ -108,13 +115,17 @@ def _cmd_gen(args):
         if head == "sailboat" and not rest:
             g = catalog.sailboat()
         elif head == "H":
+            _cap(family, 3 * int(rest) + 5)
             g = catalog.keszegh_h(int(rest))
         elif head == "match":
             m, word, flavor = rest.split(":")
+            _cap(family, int(m) * len(_parse_perm_word(word)))
             g = catalog.generalized_matching(int(m), _parse_perm_word(word), flavor)
         elif head == "turan":
-            n, r = rest.split(":")
-            g = catalog.ordered_turan(int(n), int(r))
+            n, r = map(int, rest.split(":"))
+            if 1 <= r <= n:  # n % r classes of n // r + 1 vertices, the rest of n // r
+                _cap(family, (n * n - r * (n // r) ** 2 - n % r * (2 * (n // r) + 1)) // 2)
+            g = catalog.ordered_turan(n, r)
         else:
             raise DomainError("usage", f"unknown generator {family!r}")
         return serialize_graph(g)
@@ -162,6 +173,9 @@ def _cmd_construct(args):
         if args.seed is not None:
             raise DomainError("usage", "construction family pow is deterministic "
                                        "and takes no --seed")
+        # Powers d < n of a base above 1 have exponents below n's bit length.
+        _cap(args.family, sum(args.n - base_value ** j for j in range(args.n.bit_length())
+                              if base_value > 1 and base_value ** j < args.n))
         g = power_distance_graph(args.n, base_value, flavor)
         family = f"pow:{base}:{flavor}"
     elif head == "ckfree":
@@ -169,6 +183,7 @@ def _cmd_construct(args):
             k = int(rest)
         except ValueError as exc:
             raise DomainError("usage", f"bad construction family {args.family!r}: {exc}")
+        _cap(args.family, args.n * (args.n - 1) // 2 if args.n >= k else 0)
         g = random_ck_free(args.n, k, args.seed if args.seed is not None else 0)
         family = f"ckfree:{rest}"
     else:

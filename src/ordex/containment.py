@@ -100,7 +100,6 @@ class _Step(NamedTuple):
     reduce: tuple
     cut_inline: bool
     injective: bool
-    shared: bool
 
 
 class PatternIndex:
@@ -154,10 +153,6 @@ class PatternIndex:
       and runs while the step walks (``_cut_walk_layer``).
     - ``injective``: the step keeps every coordinate of the previous
       boundary, so distinct parents have distinct children.
-    - ``shared``: the step is window-only (no pattern neighbor of the
-      placed vertex is placed yet) and the previous boundary holds more
-      than its window bounds, so parents with the same bounds share one
-      candidate mask, a whole window, which the plain walk decodes once.
     """
 
     __slots__ = ("n", "part", "idx", "nbrs", "deg", "part_count", "order", "plan",
@@ -303,9 +298,7 @@ class PatternIndex:
             reduce = () if skip else tuple((pos[q], d) for q, d in pure)
             self.plan.append(_Step(
                 pt, lo_pos, lo_gap, hi_pos, hi_gap, _tuple_getter(kept), pending,
-                self.deg[p], pick, reduce, len(reduce) == 1 and not pick, injective,
-                not pending
-                and len(old_boundary) > (lo_pos is not None) + (hi_pos is not None)))
+                self.deg[p], pick, reduce, len(reduce) == 1 and not pick, injective))
             old_boundary = boundary
             old_pure = pure
 
@@ -375,12 +368,15 @@ def find_embedding(P: PatternIndex, H: HostIndex) -> list[int] | None:
 
     The cut is sound: it decides only which embedding is found first.
 
-    On a shared step the mask depends only on the window bounds, so the
-    plain walk decodes it once per mask into its images of high enough
-    degree.  Elsewhere each parent walks its own mask: a mask cut by
-    placed neighbors' neighborhoods is narrow, and decoding it is
-    cheaper than looking it up.  An injective step stores its children
-    without a duplicate test.
+    Each parent walks its own candidate mask, and an injective step
+    stores its children without a duplicate test.  No window is empty.
+    By induction, placed vertices a < b of one part have images at least
+    b - a apart, and each image leaves room for its part's vertices
+    before and after it in the host part.  So the window of the next
+    vertex, between its nearest placed vertices L < R of the part (or
+    the part's ends), holds img(R) - img(L) - (R - L) + 1 >= 1 vertices,
+    as ``_layers`` returns no layer for a host part smaller than the
+    pattern's.
 
     The search runs twice at most.  A bounded first pass expands only
     the first ``PROBE_WIDTH`` states of each layer, after its cut, so a
@@ -436,12 +432,12 @@ def _layers(P: PatternIndex, H: HostIndex, width: int = 0,
     # states: boundary image tuples to expand, in insertion order
     states = trail[-1] if trail else {(): None}
     for (pt, lo_pos, lo_gap, hi_pos, hi_gap, get_rest, pending_pos, need_deg,
-         pick, reduce, cut_inline, injective, shared) in P.plan[len(trail):]:
+         pick, reduce, cut_inline, injective) in P.plan[len(trail):]:
         hi_end = sizes[pt] - hi_gap
         if pick:
             new_states = _extreme_image_layer(
                 states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos, adj,
-                get_rest, injective, pick < 0)
+                get_rest, pick < 0)
         elif cut_inline:
             new_states = _cut_walk_layer(
                 states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos, adj,
@@ -449,43 +445,23 @@ def _layers(P: PatternIndex, H: HostIndex, width: int = 0,
         else:
             degs = H.deg[pt]
             new_states = {}
-            # candidate mask -> its images of high enough degree, as
-            # 1-tuples; kept on shared steps only
-            images = {}
             for key in states:
                 lo = key[lo_pos] + lo_gap if lo_pos is not None else lo_gap
                 hi = key[hi_pos] - hi_gap if hi_pos is not None else hi_end
-                if hi < lo:
-                    continue
                 cand = (2 << hi) - (1 << lo)
                 for qt, qp in pending_pos:
                     cand &= adj[qt][key[qp]]
                 if not cand:
                     continue
                 rest = get_rest(key)
-                if shared:
-                    bits = images.get(cand)
-                    if bits is None:
-                        bits = images[cand] = []
-                        while cand:
-                            low = cand & -cand
-                            cand ^= low
-                            h = low.bit_length() - 1
-                            if degs[h] >= need_deg:
-                                bits.append((h,))
-                    for h in bits:
-                        new_key = rest + h
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    h = low.bit_length() - 1
+                    if degs[h] >= need_deg:
+                        new_key = rest + (h,)
                         if injective or new_key not in new_states:
                             new_states[new_key] = key
-                else:
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        h = low.bit_length() - 1
-                        if degs[h] >= need_deg:
-                            new_key = rest + (h,)
-                            if injective or new_key not in new_states:
-                                new_states[new_key] = key
         if not new_states:
             return trail
         if reduce and not cut_inline:
@@ -516,8 +492,6 @@ def _cut_walk_layer(states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos,
     for key in states:
         lo = key[lo_pos] + lo_gap if lo_pos is not None else lo_gap
         hi = key[hi_pos] - hi_gap if hi_pos is not None else hi_end
-        if hi < lo:
-            continue
         cand = (2 << hi) - (1 << lo)
         for qt, qp in pending_pos:
             cand &= adj[qt][key[qp]]
@@ -539,43 +513,34 @@ def _cut_walk_layer(states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end, pending_pos,
 
 
 def _extreme_image_layer(states, lo_pos, lo_gap, hi_pos, hi_gap, hi_end,
-                         pending_pos, adj, get_rest, injective, greatest):
+                         pending_pos, adj, get_rest, greatest):
     """The Pareto-cut layer of a step placing a pure coordinate.
 
     Every state one parent produces has that parent's projection
     ``get_rest(key)`` and differs only in the image, so per projection
     class the cut keeps the best candidate, the least one or, when
     ``greatest``, the greatest, with the first parent giving it, in the
-    order the classes first appear.  The placed vertex is pure, so all
-    its pattern neighbors are placed and each candidate lies in the host
-    neighborhoods of their distinct images: its degree is always high
-    enough, and the best candidate is the lowest or the highest bit.  On
-    an injective step the projection keeps every coordinate, so each
-    parent is its own class and keeps its own best candidate.  Either
-    way each class ends with one state.
+    order the classes first appear, and each class ends with one state.
+    The placed vertex is pure, so all its pattern neighbors are placed
+    and each candidate lies in the host neighborhoods of their distinct
+    images: its degree is always high enough, and the best candidate is
+    the lowest or the highest bit.  On an injective step each parent is
+    its own class.
     """
-    out = {}
     best = {}
     for key in states:
         lo = key[lo_pos] + lo_gap if lo_pos is not None else lo_gap
         hi = key[hi_pos] - hi_gap if hi_pos is not None else hi_end
-        if hi < lo:
-            continue
         cand = (2 << hi) - (1 << lo)
         for qt, qp in pending_pos:
             cand &= adj[qt][key[qp]]
         if not cand:
             continue
         h = cand.bit_length() - 1 if greatest else (cand & -cand).bit_length() - 1
-        if injective:
-            out[get_rest(key) + (h,)] = key
-            continue
         rest = get_rest(key)
         cur = best.get(rest)
         if cur is None or (h > cur[0] if greatest else h < cur[0]):
             best[rest] = (h, key)
-    if injective:
-        return out
     return {rest + (h,): parent for rest, (h, parent) in best.items()}
 
 
@@ -599,22 +564,11 @@ def _pareto_reduce(states: dict, pure: tuple) -> dict:
     when no state kept before it is at least as good in every one: with
     two coordinates, when its second is better than that of every state
     kept before it.  Classes keep the order they first appear in, and a
-    layer of one state is its own cut.
+    layer of one state is its own cut.  One coordinate takes the general
+    loop: no plan asks for it, as such a step cuts while it walks.
     """
     if len(states) < 2:
         return states
-    if len(pure) == 1:
-        # Single monotone coordinate: one pass keeping the best value
-        # per class, with C-level slicing for the class key.
-        ((k0, d0),) = pure
-        k1 = k0 + 1
-        best = {}
-        for key in states:
-            rest = key[:k0] + key[k1:]
-            cur = best.get(rest)
-            if cur is None or (key[k0] - cur[k0]) * d0 < 0:
-                best[rest] = key
-        return {key: states[key] for key in best.values()}
     width = len(next(iter(states)))
     positions = {k for k, _ in pure}
     get_class = _tuple_getter([k for k in range(width) if k not in positions])

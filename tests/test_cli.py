@@ -205,6 +205,44 @@ def test_count_and_count_perms(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen", "turan:2049:2"],
+    ["gen", "H:349524"],
+    ["gen", "match:524289:21:ordered"],
+    ["construct", "--family", "pow:2:ordered", "--n", "69392"],
+    ["construct", "--family", "ckfree:4", "--n", "1449"],
+])
+def test_build_just_over_the_edge_cap_is_refused(argv):
+    """Each family's closed-form count is just above ``MAX_BUILD_EDGES``
+    here (1,049,600, 1,048,577, 1,048,578, 1,048,593 edges and 1,049,076
+    pairs drawn), and the command is refused before anything is built."""
+    code, payload = run_json(argv)
+    assert code == 1 and payload["kind"] == "cap"
+
+
+@pytest.mark.parametrize("argv, edges", [
+    (["gen", "H:2"], 11),
+    (["gen", "match:2:21:ordered"], 4),
+    (["gen", "turan:7:3"], 16),
+    (["construct", "--family", "pow:3:bipartite", "--n", "10"], 17),
+    (["construct", "--family", "ckfree:4", "--n", "8"], 28),
+])
+def test_edge_cap_admits_exactly_the_closed_form_count(argv, edges, monkeypatch):
+    """With the cap set to a family member's count the build runs, and
+    builds that many edges (a ckfree build draws that many pairs); one
+    below, it is refused."""
+    monkeypatch.setattr("ordex.cli.MAX_BUILD_EDGES", edges)
+    code, text = run(argv)
+    assert code == 0
+    if argv[0] == "gen":
+        assert parse_graph(text).n_edges == edges
+    elif "pow" in argv[2]:
+        assert json.loads(text)["edge_count"] == edges
+    monkeypatch.setattr("ordex.cli.MAX_BUILD_EDGES", edges - 1)
+    code, payload = run_json(argv)
+    assert code == 1 and payload["kind"] == "cap"
+
+
+@pytest.mark.parametrize("argv", [
     ["count-perms", "--perm", "1x2", "--n", "4"],
     ["construct", "--family", "pow:2", "--n", "8"],
     ["construct", "--family", "ckfree:x", "--n", "8"],

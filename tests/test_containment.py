@@ -334,15 +334,12 @@ def test_plan_flags_are_pinned():
     neighborhood of img4; it has no role after that, so it is picked by
     its least image.  In H:1, v5 (flat 11) is placed after its neighbor
     u3 and after v6 but before v4, so it only bounds v4's window from
-    the right: it is picked by its greatest image.  The window-only
-    steps of H:1 after the first have more in their boundary than their
-    bounds, so they are shared; the hook has none."""
+    the right: it is picked by its greatest image."""
     hook = PatternIndex(HOOK_PATTERN)
     assert hook.order == [0, 2, 3, 1]
     assert [step.pick for step in hook.plan] == [0, 0, 0, 1]
     assert [step.reduce for step in hook.plan] == [(), (), ((0, 1), (1, -1)), ()]
     assert [step.injective for step in hook.plan] == [True, True, True, False]
-    assert not any(step.shared for step in hook.plan)
     last = hook.plan[3]
     assert (last.lo_pos, last.lo_gap, last.hi_pos, last.hi_gap) == (0, 1, 1, 1)
     assert last.pending == ((0, 2),)
@@ -352,7 +349,6 @@ def test_plan_flags_are_pinned():
     boundary, pure = _pure_positions(P)[t]
     assert P.plan[t].pick == -1 and (len(boundary) - 1, -1) in pure
     assert [t for t, step in enumerate(P.plan) if step.pick] == [1, 4, 8, 10, 13]
-    assert [t for t, step in enumerate(P.plan) if step.shared] == [2, 5, 7, 9, 11]
 
 
 def test_pareto_reduce_sorts_pure_coordinates_in_vertex_order():
@@ -433,13 +429,12 @@ def _pure_positions(P):
 
 
 def _flags_cleared(P):
-    """P with every step's pick, injective and shared flags cleared and
-    a Pareto pass over all its pure positions: every layer is expanded by
-    the plain walk and then cut, every child goes through the duplicate
-    test and every parent walks its own candidate mask."""
+    """P with every step's pick and injective flags cleared and a Pareto
+    pass over all its pure positions: every layer is expanded by the
+    plain walk and then cut, and every child goes through the duplicate
+    test."""
     Q = copy.copy(P)
-    Q.plan = [step._replace(pick=0, reduce=pure, cut_inline=False, injective=False,
-                            shared=False)
+    Q.plan = [step._replace(pick=0, reduce=pure, cut_inline=False, injective=False)
               for step, (_, pure) in zip(P.plan, _pure_positions(P))]
     return Q
 
@@ -452,8 +447,9 @@ def _skips_keep_every_state(host, pattern, index=PatternIndex):
     every layer comes back the same, in order, with the same parents: so
     each pass the plan omits would have returned its layer unchanged, in
     order, and each least- or greatest-image layer is the cut of the
-    plain walk.  Returns how many inherited steps (a pure coordinate, no
-    pick and no pass) the search ran."""
+    plain walk.  Every stored state leaves the next step a non-empty
+    window (see ``find_embedding``).  Returns how many inherited steps (a
+    pure coordinate, no pick and no pass) the search ran."""
     if not pattern.edges:
         return 0
     H = HostIndex(host)
@@ -467,6 +463,12 @@ def _skips_keep_every_state(host, pattern, index=PatternIndex):
             assert step.reduce in ((), pure)
         layers = [list(layer.items()) for layer in _layers(P, H)]
         assert layers == [list(layer.items()) for layer in _layers(_flags_cleared(P), H)]
+        for step, layer in zip(P.plan[1:], layers):
+            for key, _ in layer:
+                lo = step.lo_gap + (key[step.lo_pos] if step.lo_pos is not None else 0)
+                hi = (key[step.hi_pos] if step.hi_pos is not None
+                      else H.sizes[step.part]) - step.hi_gap
+                assert lo <= hi
         inherited += sum(1 for step, (_, pure) in steps[:len(layers)]
                          if pure and not step.pick and not step.reduce)
     return inherited
