@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .containment import Embedding, contains
 from .graphs import BIPARTITE, ORDERED, GraphValueError, PatternGraph, bipartite_graph
@@ -44,6 +45,9 @@ def power_distance_graph(n: int, base: int = 2, flavor: str = ORDERED) -> Patter
     raise GraphValueError(f"power distance graph is ordered or bipartite, not {flavor}")
 
 
+# Bounded by memory: a host at the CLI's cap (n = 1448, k = 3, about 11k
+# edges) holds about 1 MB, so at most about 32 MB stay cached.
+@lru_cache(maxsize=32)
 def random_ck_free(n: int, k: int, seed: int) -> PatternGraph:
     """Seeded sparse random graph purged of every k-cycle.
 
@@ -53,7 +57,15 @@ def random_ck_free(n: int, k: int, seed: int) -> PatternGraph:
     n**(1 + 1/(k-1)) in expectation.  The seed contract: exactly one
     ``random()`` is drawn per pair, in lexicographic (i, j) order, so a
     draw that skips or reorders pairs changes the graph of every seed.
+
+    The result is pure in (n, k, seed), so the last 32 distinct
+    arguments are memoized: repeat arguments share one immutable graph,
+    and ``random_ck_free.cache_clear()`` forgets them.  A ``None`` seed
+    would draw from the OS once and hand that draw to every later
+    unseeded call, so it is refused.
     """
+    if seed is None:
+        raise GraphValueError("seed must be given: the draw is memoized per seed")
     if k < 3:
         raise GraphValueError("cycle length k must be at least 3")
     if n < k:

@@ -54,8 +54,25 @@ def test_power_distance_rejects_bad_args():
 
 
 def test_ck_free_deterministic():
-    assert random_ck_free(40, 4, 11) == random_ck_free(40, 4, 11)
+    first = random_ck_free(40, 4, 11)
+    random_ck_free.cache_clear()
+    assert random_ck_free(40, 4, 11) == first
     assert random_ck_free(40, 4, 11) != random_ck_free(40, 4, 12)
+
+
+def test_ck_free_repeat_arguments_share_one_graph():
+    first = random_ck_free(40, 4, 11)
+    assert random_ck_free(40, 4, 11) is first
+    # The sweeps that reset ordex's memos between runs find it by this name.
+    assert callable(getattr(random_ck_free, "cache_clear", None))
+    random_ck_free.cache_clear()
+    again = random_ck_free(40, 4, 11)
+    assert again == first and again is not first
+
+
+def test_ck_free_refuses_an_unseeded_draw():
+    with pytest.raises(GraphValueError, match="seed"):
+        random_ck_free(40, 4, None)
 
 
 @pytest.mark.parametrize("seed", range(5))
